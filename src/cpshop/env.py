@@ -10,7 +10,10 @@ refreshes itself to the minimum end lower bound among current operations,
 so in every non-terminal decision state at least one job action is
 available and No-Op is purely voluntary. Because every dispatch happens
 at the operation's start lower bound, terminal schedules are compressed
-by construction.
+by construction. After every transition the clock refresh, the
+observation and the action mask are derived together from one
+computation of the current start lower bounds, and cached until the
+next transition.
 
 Rewards are episodic: the terminal step carries ``-makespan``.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cpshop.instances import Instance
-from cpshop.model import ModelState, Solution, new_model
+from cpshop.model import ModelState, Solution
 
 SLOT_REAL = 0
 SLOT_SOURCE = 1
@@ -91,9 +94,12 @@ class JobShopEnv:
     # -- lifecycle -------------------------------------------------------
 
     def reset(self) -> Observation:
-        self.model = new_model(self.instance, self.horizon)
-        self.t = int(self._current_end_lbs().min())
-        return self.observe()
+        model = self.model = ModelState(self.instance, self.horizon)
+        # every first operation can start at 0, so the clock opens at the
+        # earliest first-operation end
+        self.t = int(model.proc[model.alive(), 0].min())
+        self._settle()
+        return self._obs
 
     def _require_model(self) -> ModelState:
         if self.model is None:
@@ -108,126 +114,99 @@ class JobShopEnv:
     def noop_action(self) -> int:
         return self.instance.job_count
 
-    # -- clock -----------------------------------------------------------
-
-    def _current_end_lbs(self) -> np.ndarray:
-        model = self._require_model()
-        ends = model.current_lbs() + model.current_proc()
-        return ends[model.alive()]
-
     def current_time(self) -> int:
         if self.done:
             raise RuntimeError("terminal state has no current time")
         return self.t
 
-    def _refresh_clock(self) -> None:
-        """Advance the clock to the minimum current end lower bound when no
-        job is dispatchable; this always re-enables at least one job."""
-        model = self._require_model()
-        if model.complete:
-            return
-        if not self._dispatchable().any():
-            self.t = max(self.t, int(self._current_end_lbs().min()))
+    # -- derived decision state ------------------------------------------
 
-    def _advance_noop(self) -> None:
-        model = self._require_model()
-        events = np.concatenate([self._current_end_lbs(), model.release])
-        later = events[events > self.t]
-        if later.size == 0:
-            raise ActionError("No-Op rejected: no later interval-end event to advance to")
-        self.t = int(later.min())
+    def _settle(self) -> None:
+        """Derive the decision state after a transition from one
+        computation of the current start lower bounds.
 
-    # -- masks and observations -----------------------------------------
+        When no job is dispatchable the clock advances to the minimum
+        current end lower bound, which always re-enables at least one job.
+        No-Op is offered exactly when a later current-end or machine-release
+        event exists, so an accepted No-Op always advances the clock.
+        """
+        model = self.model
+        jc = self.instance.job_count
+        idx = np.arange(jc)
+        alive = model.alive()
+        lbs = model.current_lbs()
+        # window of the current and upcoming operations; entries past the
+        # loaded part (or past a job's last operation) are masked out
+        slots = 2 + self.next_ops
+        k = model.cursor[:, None] + np.arange(slots - 1)
+        loaded = alive[:, None] & (k < model.loaded_until[:, None])
+        k = np.minimum(k, model.proc.shape[1] - 1)
+        proc = model.proc[idx[:, None], k]
+        ends = (lbs + proc[:, 0])[alive]
+        ready = alive & (lbs <= self.t)
+        if alive.any() and not ready.any():
+            self.t = max(self.t, int(ends.min()))
+            ready = alive & (lbs <= self.t)
+        mask = np.zeros(jc + 1, dtype=bool)
+        mask[:jc] = ready
+        mask[jc] = alive.any() and bool((ends > self.t).any() or (model.release > self.t).any())
 
-    def _dispatchable(self) -> np.ndarray:
-        model = self._require_model()
-        return model.alive() & (model.current_lbs() <= self.t)
+        feats = np.zeros((jc, slots, 4), dtype=np.float64)
+        kinds = np.empty((jc, slots), dtype=np.int8)
 
-    def _noop_available(self) -> bool:
-        """No-Op is offered exactly when a later interval-end event exists,
-        so an accepted No-Op always advances the clock."""
-        model = self._require_model()
-        if not model.alive().any():
-            return False
-        if (self._current_end_lbs() > self.t).any():
-            return True
-        return bool((model.release > self.t).any())
+        # previous operation: the job's last fixed one, else a source slot
+        has_prev = model.cursor > 0
+        pk = np.maximum(model.cursor - 1, 0)
+        starts = model.starts[idx, pk]
+        kinds[:, 0] = np.where(has_prev, SLOT_REAL, SLOT_SOURCE)
+        feats[:, 0, F_ASSIGNED] = has_prev
+        feats[:, 0, F_LB] = np.where(has_prev, starts, 0)
+        feats[:, 0, F_LENGTH] = np.where(has_prev, model.proc[idx, pk], 0)
+        feats[:, 0, F_AT_T] = has_prev & (starts == self.t)
+
+        # loaded window operations with start lower bounds chained from the
+        # current one; the rest are sinks
+        release = model.release[model.machine[idx[:, None], k]]
+        lb = np.empty_like(proc)
+        lb[:, 0] = lbs
+        for s in range(1, slots - 1):
+            lb[:, s] = np.maximum(lb[:, s - 1] + proc[:, s - 1], release[:, s])
+        kinds[:, 1:] = np.where(loaded, SLOT_REAL, SLOT_SINK)
+        feats[:, 1:, F_LB] = np.where(loaded, lb, 0)
+        feats[:, 1:, F_LENGTH] = np.where(loaded, proc, 0)
+        feats[:, 1:, F_AT_T] = loaded & (lb == self.t)
+
+        self._ends = ends
+        self._mask = mask
+        self._obs = Observation(
+            features=feats, kinds=kinds, mask=mask.copy(), t=self.t, time_scale=self.time_scale
+        )
 
     def action_mask(self) -> np.ndarray:
         if self.done:
             raise RuntimeError("terminal state has no actions")
-        mask = np.zeros(self.instance.job_count + 1, dtype=bool)
-        mask[: self.instance.job_count] = self._dispatchable()
-        mask[self.noop_action] = self._noop_available()
-        return mask
+        return self._mask.copy()
 
     def observe(self) -> Observation:
-        model = self._require_model()
-        jc = self.instance.job_count
-        slots = 2 + self.next_ops
-        feats = np.zeros((jc, slots, 4), dtype=np.float64)
-        kinds = np.full((jc, slots), SLOT_SINK, dtype=np.int8)
-        idx = np.arange(jc)
-        alive = model.alive()
-
-        # previous operation: the job's last fixed one, else a source slot
-        has_prev = model.cursor > 0
-        kinds[~has_prev, 0] = SLOT_SOURCE
-        if has_prev.any():
-            pj = idx[has_prev]
-            pk = model.cursor[has_prev] - 1
-            starts = model.starts[pj, pk]
-            kinds[pj, 0] = SLOT_REAL
-            feats[pj, 0, F_ASSIGNED] = 1.0
-            feats[pj, 0, F_LB] = starts
-            feats[pj, 0, F_LENGTH] = model.proc[pj, pk]
-            feats[pj, 0, F_AT_T] = (starts == self.t).astype(np.float64)
-
-        # current and upcoming operations, chained start lower bounds
-        lb = model.current_lbs().astype(np.float64)
-        for s in range(1, slots):
-            off = s - 1
-            k = model.cursor + off
-            loaded = alive & (k < model.loaded_until)
-            if not loaded.any():
-                break
-            lj = idx[loaded]
-            lk = k[loaded]
-            if off > 0:
-                prev_end = lb[loaded] + model.proc[lj, lk - 1]
-                lb = lb.copy()
-                lb[loaded] = np.maximum(prev_end, model.release[model.machine[lj, lk]])
-            kinds[lj, s] = SLOT_REAL
-            feats[lj, s, F_LB] = lb[loaded]
-            feats[lj, s, F_LENGTH] = model.proc[lj, lk]
-            feats[lj, s, F_AT_T] = (lb[loaded] == self.t).astype(np.float64)
-
-        if model.complete:
-            mask = np.zeros(jc + 1, dtype=bool)
-        else:
-            mask = self.action_mask()
-        return Observation(
-            features=feats, kinds=kinds, mask=mask, t=self.t, time_scale=self.time_scale
-        )
+        self._require_model()
+        return self._obs
 
     # -- transitions -----------------------------------------------------
 
+    def _advance_noop(self) -> None:
+        events = np.concatenate([self._ends, self.model.release])
+        self.t = int(events[events > self.t].min())
+
     def _result(self, applied: tuple[int, ...]) -> StepResult:
+        """Settle the decision state after a transition and report it."""
+        self._settle()
         model = self._require_model()
-        if model.complete:
-            makespan = model.solution().makespan
-            return StepResult(
-                observation=self.observe(),
-                done=True,
-                reward=-float(makespan),
-                makespan=makespan,
-                applied_actions=applied,
-            )
+        makespan = model.solution().makespan if model.complete else None
         return StepResult(
-            observation=self.observe(),
-            done=False,
-            reward=None,
-            makespan=None,
+            observation=self._obs,
+            done=makespan is not None,
+            reward=None if makespan is None else -float(makespan),
+            makespan=makespan,
             applied_actions=applied,
         )
 
@@ -236,22 +215,19 @@ class JobShopEnv:
         ``job_count`` is the No-Op clock advance."""
         if self.done:
             raise ActionError("episode is over")
-        model = self._require_model()
-        mask = self.action_mask()
         if not 0 <= action <= self.noop_action:
             raise ActionError(f"action {action} out of range 0..{self.noop_action}")
-        if not mask[action]:
+        if not self._mask[action]:
             if action == self.noop_action:
                 raise ActionError("No-Op rejected: it would skip the last remaining decision")
             raise ActionError(
                 f"job {action} is not dispatchable at t={self.t} "
-                f"(start lower bound {int(model.current_lbs()[action])})"
+                f"(start lower bound {int(self.model.current_lbs()[action])})"
             )
         if action == self.noop_action:
             self._advance_noop()
         else:
-            model.fix_start(action)
-            self._refresh_clock()
+            self.model.fix_start(action)
         return self._result((action,))
 
     def step_vector(self, priority: list[int] | np.ndarray) -> StepResult:
@@ -259,36 +235,29 @@ class JobShopEnv:
         dispatchable at the current clock value, until a fixpoint.
 
         Equivalent to replaying the returned ``applied_actions`` through
-        :meth:`step`. An empty applicable set degrades to a No-Op advance.
+        :meth:`step`. Every non-terminal state has a dispatchable job, so
+        the call always dispatches at least one.
         """
         if self.done:
             raise ActionError("episode is over")
         model = self._require_model()
-        order = [int(a) for a in priority]
-        if sorted(order) != list(range(self.instance.job_count)):
+        order = np.asarray(priority, dtype=np.int64)
+        if order.shape != (self.instance.job_count,) or (
+            np.sort(order) != np.arange(self.instance.job_count)
+        ).any():
             raise ActionError("priority must be a permutation of all job indices")
         applied: list[int] = []
         t = self.t
-        progressed = True
-        while progressed:
-            progressed = False
-            for job in order:
-                if model.cursor[job] >= model.n_ops[job]:
-                    continue
-                lb = max(
-                    int(model.prev_end[job]),
-                    int(model.release[model.machine[job, model.cursor[job]]]),
-                )
-                if lb <= t:
+        ready = self._mask[:-1]
+        while ready.any():
+            # bounds of other jobs only rise within a sweep, so it visits
+            # just the jobs ready at its start; such a job stays ready
+            # unless an earlier dispatch released its machine after t
+            for job in order[ready[order]].tolist():
+                if model.release[model.machine[job, model.cursor[job]]] <= t:
                     model.fix_start(job)
                     applied.append(job)
-                    progressed = True
-        if not applied:
-            if self._noop_available():
-                self._advance_noop()
-                applied.append(self.noop_action)
-        else:
-            self._refresh_clock()
+            ready = model.alive() & (model.current_lbs() <= t)
         return self._result(tuple(applied))
 
     def solution(self) -> Solution:

@@ -272,16 +272,18 @@ def improve(
     """
     rng = np.random.default_rng(seed)
     deadline = None if time_limit is None else time.monotonic() + time_limit
+
+    def out_of_time() -> bool:
+        return deadline is not None and time.monotonic() > deadline
+
     seqs = _machine_sequences(instance, compress(instance, solution))
     starts, makespan = _evaluate(instance, seqs)
     assert starts is not None
-    best_seqs = [list(s) for s in seqs]
+    best_starts = starts
     best_makespan = makespan
     used = 0
     stale = 0
-    while used < evals and stale <= patience:
-        if deadline is not None and time.monotonic() > deadline:
-            break
+    while used < evals and stale <= patience and not out_of_time():
         pairs = _critical_pairs(instance, seqs, starts, makespan)
         candidates = [
             (m, i)
@@ -290,7 +292,7 @@ def improve(
         ]
         improved = False
         for m, i in candidates:
-            if used >= evals:
+            if used >= evals or out_of_time():
                 break
             seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
             new_starts, new_makespan = _evaluate(instance, seqs)
@@ -300,7 +302,7 @@ def improve(
                 improved = True
                 if makespan < best_makespan:
                     best_makespan = makespan
-                    best_seqs = [list(s) for s in seqs]
+                    best_starts = starts
                     stale = 0
                 break
             seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
@@ -318,6 +320,8 @@ def improve(
             break
         perturbed = False
         for _ in range(8):
+            if out_of_time():
+                break
             m, i = movable[int(rng.integers(len(movable)))]
             seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
             new_starts, new_makespan = _evaluate(instance, seqs)
@@ -329,12 +333,10 @@ def improve(
             seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
         if not perturbed:
             break
-    final_starts, final_makespan = _evaluate(instance, best_seqs)
-    assert final_starts is not None and final_makespan == best_makespan
     return Solution(
         instance_name=instance.name,
-        starts=tuple(tuple(row) for row in final_starts),
-        makespan=int(final_makespan),
+        starts=tuple(tuple(row) for row in best_starts),
+        makespan=int(best_makespan),
     )
 
 

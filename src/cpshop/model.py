@@ -1,11 +1,12 @@
-"""Interval-variable scheduling model with lazy horizon loading.
+"""Scheduling model with lazy horizon loading.
 
-The model keeps one interval per operation. End bounds are always derived
-from start bounds plus the fixed length, so only start bounds are stored.
-Bounds propagation is chain-plus-machine-release: the start lower bound of
-an unfixed operation is the max of its job predecessor's end bound and the
-release time of its machine. This is exact for the chronological
-lower-bound fixing performed by the dispatching environment.
+The model stores, per job, a cursor to the current (first unfixed)
+operation, the end of the job's last fixed operation, and per machine its
+release time. The start lower bound of a job's current operation is the
+max of its predecessor's end and the release time of its machine; it is
+computed in :meth:`ModelState.current_lbs` for all jobs at once and in
+:meth:`ModelState.fix_start` for the fixed job. This is exact for the
+chronological lower-bound fixing performed by the dispatching environment.
 
 Also provides solution validation and the polynomial solution compression
 (earliest starts under the solution's machine sequences).
@@ -20,25 +21,6 @@ import numpy as np
 from cpshop.instances import Instance
 
 NOT_FIXED = -1
-
-
-@dataclass(frozen=True)
-class IntervalVar:
-    """Snapshot of one operation's scheduling state."""
-
-    start_lb: int
-    start_ub: int
-    length: int
-    fixed: bool
-    loaded: bool
-
-    @property
-    def end_lb(self) -> int:
-        return self.start_lb + self.length
-
-    @property
-    def end_ub(self) -> int:
-        return self.start_ub + self.length
 
 
 @dataclass(frozen=True)
@@ -73,6 +55,7 @@ class ModelState:
         self.horizon = horizon
         jc = instance.job_count
         self.n_ops = np.array([len(ops) for ops in instance.jobs], dtype=np.int64)
+        self.op_count = int(self.n_ops.sum())
         max_ops = int(self.n_ops.max())
         self.machine = np.full((jc, max_ops), -1, dtype=np.int64)
         self.proc = np.zeros((jc, max_ops), dtype=np.int64)
@@ -93,7 +76,7 @@ class ModelState:
 
     @property
     def complete(self) -> bool:
-        return self.fixed_count == int(self.n_ops.sum())
+        return self.fixed_count == self.op_count
 
     def alive(self) -> np.ndarray:
         """Boolean mask of jobs that still have unfixed operations."""
@@ -109,44 +92,6 @@ class ModelState:
         mach = self.machine[np.arange(len(k)), k]
         lbs = np.maximum(self.prev_end, self.release[mach])
         return np.where(alive, lbs, self.ub_sentinel)
-
-    def current_proc(self) -> np.ndarray:
-        """Processing time of each job's current operation (0 if finished)."""
-        alive = self.alive()
-        k = np.where(alive, self.cursor, 0)
-        p = self.proc[np.arange(len(k)), k]
-        return np.where(alive, p, 0)
-
-    def chain_lb(self, job: int, op_index: int) -> int:
-        """Start lower bound of a loaded operation, chained from the cursor."""
-        cur = int(self.cursor[job])
-        if op_index < cur:
-            return int(self.starts[job, op_index])
-        if op_index >= self.loaded_until[job]:
-            raise ValueError(f"operation ({job}, {op_index}) is not loaded")
-        lb = max(int(self.prev_end[job]), int(self.release[self.machine[job, cur]]))
-        for k in range(cur, op_index):
-            end = lb + int(self.proc[job, k])
-            lb = max(end, int(self.release[self.machine[job, k + 1]]))
-        return lb
-
-    def interval(self, job: int, op_index: int) -> IntervalVar:
-        """Interval-variable view of one operation."""
-        length = int(self.proc[job, op_index])
-        if op_index < self.cursor[job]:
-            s = int(self.starts[job, op_index])
-            return IntervalVar(start_lb=s, start_ub=s, length=length, fixed=True, loaded=True)
-        if op_index >= self.loaded_until[job]:
-            return IntervalVar(
-                start_lb=0, start_ub=self.ub_sentinel, length=length, fixed=False, loaded=False
-            )
-        return IntervalVar(
-            start_lb=self.chain_lb(job, op_index),
-            start_ub=self.ub_sentinel,
-            length=length,
-            fixed=False,
-            loaded=True,
-        )
 
     # -- transitions -----------------------------------------------------
 
@@ -180,11 +125,6 @@ class ModelState:
         )
         makespan = int(self.prev_end.max())
         return Solution(instance_name=self.instance.name, starts=starts, makespan=makespan)
-
-
-def new_model(instance: Instance, horizon: int) -> ModelState:
-    """Build the model with the first ``horizon`` operations per job loaded."""
-    return ModelState(instance, horizon)
 
 
 def _check_dims(instance: Instance, solution: Solution) -> str | None:

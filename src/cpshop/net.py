@@ -170,8 +170,7 @@ class NetPolicy:
         self.config = config
 
     def logits(self, observation: Observation) -> np.ndarray:
-        batch = ObservationBatch.from_observations([observation])
-        return forward_logits(self.params, batch).data[0]
+        return forward(self.params, observation)
 
 
 # -- optimization --------------------------------------------------------

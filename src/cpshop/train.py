@@ -477,21 +477,19 @@ METRIC_FIELDS = (
 
 
 def _save_optimizer(optimizer: Adam, path: Path) -> None:
-    arrays = {"t": np.array(optimizer.t)}
-    for key, store in (("m", optimizer.m), ("v", optimizer.v)):
-        for name, arr in store.items():
-            arrays[f"{key}/{name}"] = arr
+    state = optimizer.state()
+    arrays = {"t": np.array(state["t"])}
+    for key in ("m", "v"):
+        arrays.update({f"{key}/{name}": arr for name, arr in state[key].items()})
     np.savez(path, **arrays)
 
 
 def _load_optimizer(optimizer: Adam, path: Path) -> None:
     with np.load(path, allow_pickle=False) as data:
-        optimizer.t = int(data["t"])
-        for key in data.files:
-            if key.startswith("m/"):
-                optimizer.m[key[2:]] = data[key]
-            elif key.startswith("v/"):
-                optimizer.v[key[2:]] = data[key]
+        state = {"t": data["t"]}
+        for key in ("m", "v"):
+            state[key] = {f[2:]: data[f] for f in data.files if f.startswith(f"{key}/")}
+        optimizer.load_state(state)
 
 
 def train_loop(

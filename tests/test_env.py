@@ -13,7 +13,7 @@ from cpshop.env import (
     SLOT_SOURCE,
 )
 from cpshop.instances import generate_instance, parse_instance_text
-from cpshop.model import is_compressed, validate
+from cpshop.model import ModelState, is_compressed, validate
 
 ORLIB_2X2 = "2 2\n0 3 1 2\n1 4 0 1\n"
 
@@ -259,24 +259,57 @@ def test_step_vector_validates_priority():
 
 def test_step_vector_replay_bisimulation():
     rng = np.random.default_rng(5)
-    for trial in range(20):
-        inst = generate_instance(6, 6, seed=300 + trial)
-        vec_env = JobShopEnv(inst)
-        seq_env = JobShopEnv(inst)
-        vec_obs = vec_env.reset()
-        seq_obs = seq_env.reset()
-        while not vec_env.done:
-            order = rng.permutation(inst.job_count)
-            result = vec_env.step_vector(order)
-            assert result.applied_actions  # a sweep always makes progress
-            for action in result.applied_actions:
-                seq_obs = seq_env.step(action).observation
-            vec_obs = result.observation
-            assert vec_obs.t == seq_obs.t
-            assert (vec_obs.mask == seq_obs.mask).all()
-            assert (vec_obs.features == seq_obs.features).all()
-        assert seq_env.done
-        assert vec_env.solution() == seq_env.solution()
+    repeated = 0
+    for jobs, machines in ((6, 6), (30, 5)):
+        for trial in range(20):
+            inst = generate_instance(jobs, machines, seed=300 + trial)
+            vec_env = JobShopEnv(inst)
+            seq_env = JobShopEnv(inst)
+            vec_obs = vec_env.reset()
+            seq_obs = seq_env.reset()
+            while not vec_env.done:
+                order = rng.permutation(inst.job_count)
+                result = vec_env.step_vector(order)
+                assert result.applied_actions  # a sweep always makes progress
+                applied = result.applied_actions
+                repeated += len(set(applied)) < len(applied)
+                for action in applied:
+                    seq_obs = seq_env.step(action).observation
+                vec_obs = result.observation
+                assert vec_obs.t == seq_obs.t
+                assert (vec_obs.mask == seq_obs.mask).all()
+                assert (vec_obs.features == seq_obs.features).all()
+                assert (vec_obs.kinds == seq_obs.kinds).all()
+            assert seq_env.done
+            assert vec_env.solution() == seq_env.solution()
+    # some calls dispatch one job twice: a job whose next operation is
+    # ready again at the same clock value is picked up by a later sweep
+    assert repeated > 0
+
+
+def test_one_bound_computation_per_step(monkeypatch):
+    calls = []
+    current_lbs = ModelState.current_lbs
+
+    def counted(model):
+        calls.append(1)
+        return current_lbs(model)
+
+    monkeypatch.setattr(ModelState, "current_lbs", counted)
+    env = JobShopEnv(generate_instance(15, 15, seed=11))
+    rng = np.random.default_rng(0)
+    obs = env.reset()
+    calls.clear()
+    steps = 0
+    while not env.done:
+        env.observe()
+        env.action_mask()
+        jobs = np.flatnonzero(obs.mask[:-1])
+        action = env.noop_action if obs.mask[-1] and rng.random() < 0.2 else int(rng.choice(jobs))
+        obs = env.step(action).observation
+        steps += 1
+    assert steps > 225  # every operation plus some No-Ops
+    assert len(calls) <= steps
 
 
 def test_step_vector_dispatches_everything_ready():

@@ -1,8 +1,10 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cpshop import expert
 from cpshop.env import JobShopEnv
 from cpshop.expert import (
     ExpertConfig,
@@ -111,6 +113,32 @@ def test_improve_finds_known_gain():
     )
     out = improve(inst, bad, evals=200, seed=0)
     assert out.makespan < bad.makespan
+
+
+def test_improve_stops_at_deadline_mid_pass(monkeypatch):
+    # a fake clock that ticks once per schedule evaluation puts the
+    # deadline inside an improvement pass
+    clock = [0.0]
+    seen = []
+    evaluate = expert._evaluate
+
+    def ticking_evaluate(instance, seqs):
+        seen.append(clock[0])
+        clock[0] += 1.0
+        return evaluate(instance, seqs)
+
+    monkeypatch.setattr(expert, "_evaluate", ticking_evaluate)
+    monkeypatch.setattr(expert, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    inst = generate_instance(15, 15, seed=2)
+    base = greedy_rollout(inst, RulePolicy("spt"))
+    for limit in (3.5, 10.5, 40.5):
+        clock[0] = 0.0
+        seen.clear()
+        out = improve(inst, base, evals=10**6, patience=10**6, time_limit=limit)
+        assert validate(inst, out)
+        assert out.makespan <= base.makespan
+        assert max(seen) <= limit  # no evaluation starts after the deadline
+        assert len(seen) == int(limit) + 1
 
 
 def test_improve_respects_pins():

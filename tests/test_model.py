@@ -4,10 +4,10 @@ import pytest
 from cpshop.instances import generate_instance, parse_instance_text
 from cpshop.model import (
     NOT_FIXED,
+    ModelState,
     Solution,
     compress,
     is_compressed,
-    new_model,
     validate,
 )
 
@@ -87,16 +87,16 @@ def longest_path_starts(instance, solution):
 
 
 def test_fresh_model_bounds():
-    model = new_model(tiny(), horizon=10)
+    model = ModelState(tiny(), horizon=10)
     assert not model.complete
     assert list(model.current_lbs()) == [0, 0]
-    iv = model.interval(0, 0)
-    assert (iv.start_lb, iv.length, iv.fixed) == (0, 3, False)
-    assert iv.end_lb == 3
+    assert list(model.proc[:, 0]) == [3, 4]
+    assert list(model.cursor) == [0, 0]
+    assert (model.starts == NOT_FIXED).all()
 
 
 def test_fix_start_updates_release_and_chain():
-    model = new_model(tiny(), horizon=10)
+    model = ModelState(tiny(), horizon=10)
     assert model.fix_start(0) == 0  # job 0 op 0 on m0, [0, 3)
     assert model.fix_start(1) == 0  # job 1 op 0 on m1, [0, 4)
     # job 0 op 1 needs m1 (released at 4) and its predecessor end 3
@@ -113,15 +113,23 @@ def test_fix_start_updates_release_and_chain():
 
 def test_horizon_limits_loading():
     inst = generate_instance(2, 6, seed=0)
-    model = new_model(inst, horizon=2)
-    assert not model.interval(0, 2).loaded
-    assert model.interval(0, 1).loaded
+    model = ModelState(inst, horizon=2)
+    # operations 0 and 1 are loaded, operation 2 is not
+    assert list(model.loaded_until) == [2, 2]
     model.fix_start(0)
-    assert model.interval(0, 2).loaded  # window slides on fixing
+    assert list(model.loaded_until) == [3, 2]  # window slides on fixing
+
+
+def test_finished_job_bound_is_sentinel():
+    model = ModelState(tiny(), horizon=10)
+    model.fix_start(0)
+    model.fix_start(0)
+    assert list(model.alive()) == [False, True]
+    assert model.current_lbs()[0] == model.ub_sentinel == 10
 
 
 def test_fix_start_exhausted_job_rejected():
-    model = new_model(tiny(), horizon=10)
+    model = ModelState(tiny(), horizon=10)
     model.fix_start(0)
     model.fix_start(0)
     with pytest.raises(ValueError, match="job 0"):
@@ -129,7 +137,7 @@ def test_fix_start_exhausted_job_rejected():
 
 
 def test_solution_requires_completion():
-    model = new_model(tiny(), horizon=10)
+    model = ModelState(tiny(), horizon=10)
     with pytest.raises(ValueError, match="not complete"):
         model.solution()
 
