@@ -4,11 +4,31 @@ Just enough operator coverage for a small transformer policy: elementwise
 arithmetic with broadcasting, matmul, tanh/exp/log/sqrt, reductions,
 reshaping, indexing, concatenation, elementwise max/clip, and numerically
 stable (log-)softmax primitives. Gradients are float64 throughout.
+
+Inside a ``no_grad()`` scope operations compute the same values but record
+no graph, so inference passes keep no intermediate arrays alive.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Scope in which operation results record no parents and no backward
+    closure and do not require grad; the previous state is restored on exit."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -36,7 +56,9 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or (
+            _grad_enabled and any(p.requires_grad for p in parents)
+        )
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 

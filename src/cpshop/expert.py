@@ -57,6 +57,36 @@ def _lower_bound(instance, ready, free, cursor, rem_job, rem_machine):
     return lb
 
 
+def _conflict_set(instance, n_ops, cursor, ready, free):
+    """Giffler-Thompson branching: the machine that achieves the minimum
+    earliest completion time, and its conflicting operations as sorted
+    (end, job, start, processing time) tuples."""
+    best_c = np.inf
+    best_m = -1
+    for j in range(instance.job_count):
+        k = cursor[j]
+        if k >= n_ops[j]:
+            continue
+        op = instance.jobs[j][k]
+        c = max(ready[j], free[op.machine]) + op.processing_time
+        if c < best_c:
+            best_c = c
+            best_m = op.machine
+    conflict = []
+    for j in range(instance.job_count):
+        k = cursor[j]
+        if k >= n_ops[j]:
+            continue
+        op = instance.jobs[j][k]
+        if op.machine != best_m:
+            continue
+        s = max(ready[j], free[op.machine])
+        if s < best_c:
+            conflict.append((s + op.processing_time, j, s, op.processing_time))
+    conflict.sort()
+    return best_m, conflict
+
+
 def solve_exact(
     instance: Instance,
     time_limit: float | None = None,
@@ -84,71 +114,54 @@ def solve_exact(
             rem_machine[op.machine] += op.processing_time
     starts = [[0] * n for n in n_ops]
 
-    def dfs(scheduled: int) -> bool:
-        """Returns False when the budget ran out and the search must stop."""
-        nonlocal best_starts, best_makespan, nodes, exhausted
+    # Depth-first search with an explicit stack, one frame per expanded
+    # node: [machine, children, next child, undo record of the applied one]
+    frames: list[list] = []
+    scheduled = 0
+    while True:
         nodes += 1
         if node_limit is not None and nodes > node_limit:
             exhausted = False
-            return False
+            break
         if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
             exhausted = False
-            return False
+            break
         if scheduled == total:
             makespan = max(ready)
             if makespan < best_makespan:
                 best_makespan = makespan
                 best_starts = [row.copy() for row in starts]
-            return True
-        if _lower_bound(instance, ready, free, cursor, rem_job, rem_machine) >= best_makespan:
-            return True
-
-        # Giffler-Thompson: branch on the conflict set of the machine that
-        # achieves the minimum earliest completion time
-        best_c = np.inf
-        best_m = -1
-        for j in range(jc):
-            k = cursor[j]
-            if k >= n_ops[j]:
+        elif _lower_bound(instance, ready, free, cursor, rem_job, rem_machine) < best_makespan:
+            frames.append([*_conflict_set(instance, n_ops, cursor, ready, free), 0, None])
+        # backtrack to the deepest frame with a child left and apply it
+        while frames:
+            frame = frames[-1]
+            m, conflict, i, undo = frame
+            if undo is not None:
+                j, k, old_ready, old_free, p = undo
+                cursor[j] = k
+                ready[j] = old_ready
+                free[m] = old_free
+                rem_job[j] += p
+                rem_machine[m] += p
+                scheduled -= 1
+            if i == len(conflict):
+                frames.pop()
                 continue
-            op = instance.jobs[j][k]
-            c = max(ready[j], free[op.machine]) + op.processing_time
-            if c < best_c:
-                best_c = c
-                best_m = op.machine
-        conflict = []
-        for j in range(jc):
+            _, j, s, p = conflict[i]
             k = cursor[j]
-            if k >= n_ops[j]:
-                continue
-            op = instance.jobs[j][k]
-            if op.machine != best_m:
-                continue
-            s = max(ready[j], free[op.machine])
-            if s < best_c:
-                conflict.append((s + op.processing_time, j, s, op.processing_time))
-        conflict.sort()
-        for _, j, s, p in conflict:
-            k = cursor[j]
-            end = s + p
-            old_ready, old_free = ready[j], free[best_m]
+            frame[2] = i + 1
+            frame[3] = (j, k, ready[j], free[m], p)
             starts[j][k] = s
             cursor[j] = k + 1
-            ready[j] = end
-            free[best_m] = end
+            ready[j] = s + p
+            free[m] = s + p
             rem_job[j] -= p
-            rem_machine[best_m] -= p
-            keep_going = dfs(scheduled + 1)
-            cursor[j] = k
-            ready[j] = old_ready
-            free[best_m] = old_free
-            rem_job[j] += p
-            rem_machine[best_m] += p
-            if not keep_going:
-                return False
-        return True
-
-    dfs(0)
+            rem_machine[m] -= p
+            scheduled += 1
+            break
+        else:
+            break
     if best_starts is None:
         raise RuntimeError("budget too small to produce any schedule")
     solution = Solution(

@@ -216,9 +216,11 @@ class Adam:
 
 
 def forward(params: dict[str, Tensor], observation: Observation) -> np.ndarray:
-    """Masked logit vector (length job_count + 1) for one observation."""
+    """Masked logit vector (length job_count + 1) for one observation;
+    records no autodiff graph."""
     batch = ObservationBatch.from_observations([observation])
-    return forward_logits(params, batch).data[0]
+    with ad.no_grad():
+        return forward_logits(params, batch).data[0]
 
 
 def grad(

@@ -46,7 +46,7 @@ from cpshop.net import (
     load_params,
     save_params,
 )
-from cpshop.rules import rollout
+from cpshop.rules import masked_softmax, rollout
 
 
 @dataclass
@@ -125,18 +125,51 @@ def minmax_scale(values) -> np.ndarray:
 # -- trajectories --------------------------------------------------------
 
 
+def sample_episodes(
+    instance: Instance,
+    policy: NetPolicy,
+    rngs: list[np.random.Generator],
+    horizon: int,
+    next_ops: int,
+) -> list[Trajectory]:
+    """One temperature-1 episode per generator, with the actors in lockstep.
+
+    Each decision round makes one graph-free forward pass over the actors
+    still running; every actor then draws from its own stream, so each
+    episode equals the one its generator would sample alone.
+    """
+    envs = [JobShopEnv(instance, horizon=horizon, next_ops=next_ops) for _ in rngs]
+    current = [env.reset() for env in envs]
+    observations: list[list[Observation]] = [[] for _ in rngs]
+    actions: list[list[int]] = [[] for _ in rngs]
+    running = [a for a, env in enumerate(envs) if not env.done]
+    while running:
+        batch = ObservationBatch.from_observations([current[a] for a in running])
+        with ad.no_grad():
+            logits = forward_logits(policy.params, batch).data
+        for row, a in enumerate(running):
+            obs = current[a]
+            probs = masked_softmax(logits[row], obs.mask)
+            action = int(rngs[a].choice(len(probs), p=probs))
+            observations[a].append(obs)
+            actions[a].append(action)
+            current[a] = envs[a].step(action).observation
+        running = [a for a in running if not envs[a].done]
+    return [
+        Trajectory(observations=obs, actions=acts, makespan=env.solution().makespan)
+        for obs, acts, env in zip(observations, actions, envs)
+    ]
+
+
 def sample_episode(
     instance: Instance,
-    policy,
+    policy: NetPolicy,
     rng: np.random.Generator,
     horizon: int,
     next_ops: int,
 ) -> Trajectory:
-    run = rollout(
-        instance, policy, rng=rng, temperature=1.0,
-        horizon=horizon, next_ops=next_ops, record=True,
-    )
-    return Trajectory(observations=run.observations, actions=run.actions, makespan=run.makespan)
+    """One actor's temperature-1 episode: ``sample_episodes`` with one stream."""
+    return sample_episodes(instance, policy, [rng], horizon, next_ops)[0]
 
 
 def realize_solution(
@@ -213,12 +246,13 @@ def generate_demos(
     for idx, instance in enumerate(instances):
         inst_seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=(idx,))
         actor_seqs = inst_seq.spawn(actor_count + 1)
-        episodes = [
-            sample_episode(
-                instance, policy, np.random.default_rng(actor_seqs[a]), horizon, next_ops
-            )
-            for a in range(actor_count)
-        ]
+        episodes = sample_episodes(
+            instance,
+            policy,
+            [np.random.default_rng(actor_seqs[a]) for a in range(actor_count)],
+            horizon,
+            next_ops,
+        )
         j_rng = np.random.default_rng(actor_seqs[actor_count])
         min_len = min(len(ep.actions) for ep in episodes)
         j = int(j_rng.integers(0, min_len + 1))
@@ -312,6 +346,19 @@ def _group_samples(samples: list[tuple[Observation, int, float]]) -> _SampleSet:
     return out
 
 
+def _policy_probs(
+    params: dict[str, Tensor], batch: ObservationBatch
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Graph-free masked action probabilities of a batch, with the
+    max-shifted logits and the per-row normalisers they came from."""
+    with ad.no_grad():
+        logits = forward_logits(params, batch).data
+    shifted = logits - np.nanmax(np.where(batch.masks, logits, -np.inf), axis=1, keepdims=True)
+    e = np.exp(shifted, where=np.isfinite(shifted), out=np.zeros_like(shifted))
+    totals = e.sum(axis=1, keepdims=True)
+    return shifted, e / totals, totals
+
+
 def _surrogate_update_loop(
     params: dict[str, Tensor],
     optimizer: Adam,
@@ -326,16 +373,18 @@ def _surrogate_update_loop(
     """
     stats = WaveStats(samples=samples.size)
     old_probs = []
+    old_terms = []  # p_old * log p_old, constant over the wave
     old_logp_actions = []
     for batch, actions, _ in samples.groups:
-        logits = forward_logits(params, batch).data
-        shifted = logits - np.nanmax(np.where(batch.masks, logits, -np.inf), axis=1, keepdims=True)
-        e = np.exp(shifted, where=np.isfinite(shifted), out=np.zeros_like(shifted))
-        probs = e / e.sum(axis=1, keepdims=True)
+        shifted, probs, totals = _policy_probs(params, batch)
         old_probs.append(probs)
-        old_logp_actions.append(
-            np.log(probs[np.arange(len(actions)), actions])
-        )
+        old_terms.append(probs * np.log(np.maximum(probs, 1e-300)))
+        # np.log of each positive probability; the masked log-softmax where
+        # the probability underflowed to 0 and its log would be -inf
+        rows = np.arange(len(actions))
+        taken = probs[rows, actions]
+        logp = shifted[rows, actions] - np.log(totals[:, 0])
+        old_logp_actions.append(np.log(taken, out=logp, where=taken > 0))
     sizes = [len(a) for _, a, _ in samples.groups]
     offsets = np.cumsum([0] + sizes)
     total = samples.size
@@ -376,15 +425,8 @@ def _surrogate_update_loop(
         # mean KL(pi_old || pi_new) over the whole wave
         kl_total = 0.0
         for g, (batch, _, _) in enumerate(samples.groups):
-            new_logits = forward_logits(params, batch).data
-            shifted = new_logits - np.nanmax(
-                np.where(batch.masks, new_logits, -np.inf), axis=1, keepdims=True
-            )
-            e = np.exp(shifted, where=np.isfinite(shifted), out=np.zeros_like(shifted))
-            new_logp = np.log(np.maximum(e / e.sum(axis=1, keepdims=True), 1e-300))
-            p_old = old_probs[g]
-            contrib = np.where(p_old > 0, p_old * (np.log(np.maximum(p_old, 1e-300)) - new_logp), 0.0)
-            kl_total += contrib.sum()
+            new_logp = np.log(np.maximum(_policy_probs(params, batch)[1], 1e-300))
+            kl_total += (old_terms[g] - old_probs[g] * new_logp).sum()
         stats.final_kl = kl_total / total
         if stats.final_kl > config.kl_limit:
             break

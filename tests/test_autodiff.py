@@ -9,6 +9,7 @@ from cpshop.autodiff import (
     layer_norm,
     log_softmax,
     maximum,
+    no_grad,
     softmax,
 )
 
@@ -160,3 +161,33 @@ def test_numpy_defers_to_tensor():
     assert isinstance(out, Tensor)
     out.sum().backward()
     assert a.grad.tolist() == [0.0, 1.0, 2.0]
+
+
+def records_graph() -> bool:
+    a = Tensor(np.ones(2), requires_grad=True)
+    out = a * 2.0
+    return out.requires_grad and bool(out._parents) and out._backward is not None
+
+
+def test_no_grad_records_no_graph():
+    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 0.5]), requires_grad=True)
+    with_graph = softmax(a * b + a.exp(), axis=0)
+    with no_grad():
+        out = softmax(a * b + a.exp(), axis=0)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    assert np.array_equal(out.data, with_graph.data)
+    assert records_graph()
+
+
+def test_no_grad_nests_and_restores_on_exception():
+    with no_grad():
+        with no_grad():
+            assert not records_graph()
+        assert not records_graph()
+    assert records_graph()
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside the scope")
+    assert records_graph()

@@ -72,6 +72,17 @@ def test_exact_budget_gives_uncertified_incumbent():
     assert validate(inst, result.solution)
 
 
+@pytest.mark.parametrize("jobs,machines", [(50, 20), (100, 20)])
+def test_exact_budget_on_large_instances(jobs, machines):
+    # the search goes one level deeper per scheduled operation: 1000 and
+    # 2000 levels here
+    inst = generate_instance(jobs, machines, seed=5)
+    result = solve_exact(inst, node_limit=5000)
+    assert not result.certified
+    assert result.nodes == 5001
+    assert validate(inst, result.solution)
+
+
 def test_exact_reports_node_count():
     inst = generate_instance(3, 3, seed=2)
     result = solve_exact(inst)

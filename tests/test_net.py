@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpshop.autodiff import no_grad
 from cpshop.env import JobShopEnv
 from cpshop.instances import generate_instance
 from cpshop.model import validate
@@ -78,6 +79,19 @@ def test_batch_matches_single_forward():
     batched = forward_logits(params, batch).data
     for row, obs in zip(batched, observations):
         np.testing.assert_allclose(row, forward(params, obs), rtol=1e-12, atol=1e-12)
+
+
+def test_forward_logits_bitwise_equal_without_graph():
+    params = init_params(seed=3)
+    observations = observations_for(seed=8, count=5)
+    batch = ObservationBatch.from_observations(observations)
+    with_graph = forward_logits(params, batch)
+    with no_grad():
+        without = forward_logits(params, batch)
+    assert with_graph.requires_grad and not without.requires_grad
+    assert without.data.tobytes() == with_graph.data.tobytes()
+    single = ObservationBatch.from_observations(observations[:1])
+    assert forward(params, observations[0]).tobytes() == forward_logits(params, single).data[0].tobytes()
 
 
 def test_job_permutation_equivariance():

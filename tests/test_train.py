@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cpshop.train
 from cpshop.env import JobShopEnv
 from cpshop.expert import ExpertConfig
 from cpshop.instances import generate_instance
@@ -11,6 +12,7 @@ from cpshop.net import (
     ObservationBatch,
     PolicyConfig,
     action_log_probs,
+    forward,
     init_params,
     load_params,
 )
@@ -20,9 +22,12 @@ from cpshop.train import (
     DemoBatch,
     TrainConfig,
     Trajectory,
+    _group_samples,
+    _surrogate_update_loop,
     generate_demos,
     minmax_scale,
     sample_episode,
+    sample_episodes,
     solution_actions,
     train_feedback,
     train_initial,
@@ -131,6 +136,64 @@ def test_generate_demos_deterministic_in_seed():
         a[0].slice_index != c[0].slice_index
         or [d.actor.actions for d in a[0].demos] != [d.actor.actions for d in c[0].demos]
     )
+
+
+def assert_same_episode(a, b):
+    assert a.actions == b.actions and a.makespan == b.makespan
+    assert len(a.observations) == len(b.observations)
+    for x, y in zip(a.observations, b.observations):
+        assert (x.t, x.time_scale) == (y.t, y.time_scale)
+        for field in ("features", "kinds", "mask"):
+            assert getattr(x, field).tobytes() == getattr(y, field).tobytes()
+
+
+@pytest.mark.parametrize("jobs,machines", [(3, 3), (10, 5), (15, 15), (30, 5)])
+def test_lockstep_sampling_equals_one_actor_at_a_time(jobs, machines):
+    inst = generate_instance(jobs, machines, seed=jobs * machines)
+    policy = NetPolicy(init_params(seed=0))
+    streams = np.random.SeedSequence(7).spawn(4)
+    together = sample_episodes(inst, policy, [np.random.default_rng(s) for s in streams], 10, 3)
+    for stream, episode in zip(streams, together):
+        assert_same_episode(episode, sample_episode(inst, policy, np.random.default_rng(stream), 10, 3))
+        # the per-observation policy path samples the same episode too
+        run = rollout(inst, policy, rng=np.random.default_rng(stream), record=True)
+        assert run.actions == episode.actions and run.makespan == episode.makespan
+    assert len({len(ep.actions) for ep in together}) > 1  # actors finish in different rounds
+
+
+def test_generate_demos_batches_one_forward_per_decision_round(monkeypatch):
+    calls = []
+    original = cpshop.train.forward_logits
+
+    def counting(params, batch):
+        calls.append(batch.features.shape[0])
+        return original(params, batch)
+
+    monkeypatch.setattr(cpshop.train, "forward_logits", counting)
+    instances = [generate_instance(4, 4, seed=31), generate_instance(5, 3, seed=32)]
+    params = init_params(seed=0)
+    budget = ExpertConfig(improve_evals=20, patience=5)
+    batches = generate_demos(instances, params, 4, budget, seed=0)
+    longest = [max(len(d.actor.actions) for d in b.demos) for b in batches]
+    assert len(calls) <= sum(longest)
+    assert sum(calls) == sum(len(d.actor.actions) for b in batches for d in b.demos)
+
+
+def test_update_survives_underflowed_action_probability():
+    # a huge logit spread makes the lowest-logit action's probability 0
+    params = init_params(seed=0)
+    params["job.h2.w"].data = params["job.h2.w"].data * 1e6
+    obs = JobShopEnv(generate_instance(6, 6, seed=0)).reset()
+    logits = forward(params, obs)
+    action = int(np.argmin(np.where(obs.mask, logits, np.inf)))
+    config = TrainConfig()
+    stats = _surrogate_update_loop(
+        params, Adam(params, lr=config.lr), _group_samples([(obs, action, 1.0)]), config,
+        np.random.default_rng(0),
+    )
+    # the loop raises on a non-finite surrogate loss
+    assert stats.applied_updates >= 1 and np.isfinite(stats.final_kl)
+    assert all(np.isfinite(p.data).all() for p in params.values())
 
 
 def test_generate_demos_rejects_empty():
