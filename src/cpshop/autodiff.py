@@ -114,9 +114,6 @@ class Tensor:
                 else:
                     grads[key] = pg
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):

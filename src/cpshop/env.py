@@ -114,11 +114,6 @@ class JobShopEnv:
     def noop_action(self) -> int:
         return self.instance.job_count
 
-    def current_time(self) -> int:
-        if self.done:
-            raise RuntimeError("terminal state has no current time")
-        return self.t
-
     # -- derived decision state ------------------------------------------
 
     def _settle(self) -> None:

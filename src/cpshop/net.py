@@ -45,15 +45,6 @@ def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndar
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def _encoder_param_names(prefix: str) -> list[str]:
-    names = []
-    for w in ("wq", "wk", "wv", "wo", "ff1", "ff2"):
-        names += [f"{prefix}.{w}.w", f"{prefix}.{w}.b"]
-    for ln in ("ln1", "ln2"):
-        names += [f"{prefix}.{ln}.g", f"{prefix}.{ln}.b"]
-    return names
-
-
 def init_params(config: PolicyConfig = PolicyConfig(), seed: int = 0) -> dict[str, Tensor]:
     """Fresh parameter dictionary; deterministic in ``seed``."""
     rng = np.random.default_rng(seed)
@@ -131,6 +122,10 @@ class ObservationBatch:
         kinds = np.stack([o.kinds for o in observations])
         masks = np.stack([o.mask for o in observations])
         return cls(features=feats, kinds=kinds, masks=masks)
+
+    def take(self, rows) -> "ObservationBatch":
+        """The rows picked by an index or boolean array."""
+        return ObservationBatch(self.features[rows], self.kinds[rows], self.masks[rows])
 
 
 def forward_logits(params: dict[str, Tensor], batch: ObservationBatch) -> Tensor:
@@ -221,25 +216,6 @@ def forward(params: dict[str, Tensor], observation: Observation) -> np.ndarray:
     batch = ObservationBatch.from_observations([observation])
     with ad.no_grad():
         return forward_logits(params, batch).data[0]
-
-
-def grad(
-    params: dict[str, Tensor],
-    observation: Observation,
-    action: int,
-    coefficient: float,
-) -> dict[str, np.ndarray]:
-    """Gradient of ``coefficient * log pi(action | observation)`` w.r.t.
-    every parameter, keyed like the parameter dictionary."""
-    for p in params.values():
-        p.grad = None
-    batch = ObservationBatch.from_observations([observation])
-    scalar = (action_log_probs(params, batch, [action]) * coefficient).sum()
-    scalar.backward()
-    return {
-        k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-        for k, p in params.items()
-    }
 
 
 # -- persistence ---------------------------------------------------------

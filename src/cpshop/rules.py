@@ -71,21 +71,21 @@ def masked_argmax(logits: np.ndarray, mask: np.ndarray) -> int:
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Probabilities over unmasked actions at the given temperature."""
+    """Probabilities over unmasked actions at the given temperature,
+    normalised row-wise along the last axis (one row or a batch of rows)."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    if not mask.any():
+    if not mask.any(axis=-1).all():
         raise ValueError("empty action mask")
     scaled = np.where(mask, logits / temperature, -np.inf)
-    peak = scaled.max()
-    if np.isfinite(peak):
-        scaled = scaled - peak
+    peak = scaled.max(axis=-1, keepdims=True)
+    scaled = scaled - np.where(np.isfinite(peak), peak, 0.0)
     weights = np.exp(scaled, where=np.isfinite(scaled), out=np.zeros_like(scaled))
-    total = weights.sum()
-    if total == 0:  # all unmasked logits were -inf: fall back to uniform
-        weights = mask.astype(np.float64)
-        total = weights.sum()
-    return weights / total
+    totals = weights.sum(axis=-1, keepdims=True)
+    if (totals == 0).any():  # all unmasked logits of a row were -inf: uniform
+        weights = np.where(totals == 0, mask, weights)
+        totals = weights.sum(axis=-1, keepdims=True)
+    return weights / totals
 
 
 @dataclass
@@ -105,18 +105,17 @@ def rollout(
     next_ops: int = 3,
     record: bool = False,
     env: JobShopEnv | None = None,
-    observation: Observation | None = None,
 ) -> Rollout:
     """Run one episode with single actions; greedy when ``rng`` is None.
 
-    Pass ``env``/``observation`` to continue a partially dispatched
-    episode instead of starting from a fresh reset.
+    Pass ``env`` to continue a partially dispatched episode instead of
+    starting from a fresh reset.
     """
     if env is None:
         env = JobShopEnv(instance, horizon=horizon, next_ops=next_ops)
         obs = env.reset()
     else:
-        obs = env.observe() if observation is None else observation
+        obs = env.observe()
     out = Rollout(solution=None, makespan=0)  # type: ignore[arg-type]
     while not env.done:
         logits = policy.logits(obs)

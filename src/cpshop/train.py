@@ -33,7 +33,7 @@ from cpshop import autodiff as ad
 from cpshop.env import JobShopEnv, Observation
 from cpshop.expert import ExpertConfig, complete_prefix
 from cpshop.instances import Instance
-from cpshop.model import Solution, compress
+from cpshop.model import Solution
 from cpshop.net import (
     Adam,
     NetPolicy,
@@ -46,25 +46,16 @@ from cpshop.net import (
     load_params,
     save_params,
 )
-from cpshop.rules import masked_softmax, rollout
-
-
-@dataclass
-class Trajectory:
-    """One full episode: per-step observations and actions, final makespan."""
-
-    observations: list[Observation]
-    actions: list[int]
-    makespan: int
+from cpshop.rules import Rollout, masked_softmax, rollout
 
 
 @dataclass
 class ActorDemo:
-    """One actor's contribution to a wave."""
+    """One actor's contribution to a wave; both episodes share the first
+    ``slice_index`` actions of their batch."""
 
-    prefix: list[int]  # first j actions, shared root of both completions
-    actor: Trajectory  # the actor's own full episode
-    expert: Trajectory  # expert completion of the prefix
+    actor: Rollout  # the actor's own full episode
+    expert: Rollout  # expert completion of the actor's prefix
     ratio: float  # expert makespan / actor makespan, in (0, 1]
 
 
@@ -131,7 +122,7 @@ def sample_episodes(
     rngs: list[np.random.Generator],
     horizon: int,
     next_ops: int,
-) -> list[Trajectory]:
+) -> list[Rollout]:
     """One temperature-1 episode per generator, with the actors in lockstep.
 
     Each decision round makes one graph-free forward pass over the actors
@@ -140,43 +131,29 @@ def sample_episodes(
     """
     envs = [JobShopEnv(instance, horizon=horizon, next_ops=next_ops) for _ in rngs]
     current = [env.reset() for env in envs]
-    observations: list[list[Observation]] = [[] for _ in rngs]
-    actions: list[list[int]] = [[] for _ in rngs]
+    episodes = [Rollout(solution=None, makespan=0) for _ in rngs]  # type: ignore[arg-type]
     running = [a for a, env in enumerate(envs) if not env.done]
     while running:
         batch = ObservationBatch.from_observations([current[a] for a in running])
         with ad.no_grad():
-            logits = forward_logits(policy.params, batch).data
+            probs = masked_softmax(forward_logits(policy.params, batch).data, batch.masks)
         for row, a in enumerate(running):
-            obs = current[a]
-            probs = masked_softmax(logits[row], obs.mask)
-            action = int(rngs[a].choice(len(probs), p=probs))
-            observations[a].append(obs)
-            actions[a].append(action)
+            action = int(rngs[a].choice(probs.shape[1], p=probs[row]))
+            episodes[a].observations.append(current[a])
+            episodes[a].actions.append(action)
             current[a] = envs[a].step(action).observation
         running = [a for a in running if not envs[a].done]
-    return [
-        Trajectory(observations=obs, actions=acts, makespan=env.solution().makespan)
-        for obs, acts, env in zip(observations, actions, envs)
-    ]
-
-
-def sample_episode(
-    instance: Instance,
-    policy: NetPolicy,
-    rng: np.random.Generator,
-    horizon: int,
-    next_ops: int,
-) -> Trajectory:
-    """One actor's temperature-1 episode: ``sample_episodes`` with one stream."""
-    return sample_episodes(instance, policy, [rng], horizon, next_ops)[0]
+    for episode, env in zip(episodes, envs):
+        episode.solution = env.solution()
+        episode.makespan = episode.solution.makespan
+    return episodes
 
 
 def realize_solution(
-    env: JobShopEnv, solution: Solution, record: bool = True
+    env: JobShopEnv, solution: Solution
 ) -> tuple[list[Observation], list[int]]:
     """Drive a (partially dispatched) environment to exactly reproduce a
-    compressed solution, recording the action sequence taken.
+    compressed solution, recording the observations and actions taken.
 
     At every decision the unscheduled operation with the earliest target
     start whose job is up next is dispatched once the clock allows it;
@@ -198,8 +175,7 @@ def realize_solution(
                 best_start = s
                 best_job = j
         action = best_job if obs.mask[best_job] else env.noop_action
-        if record:
-            observations.append(obs)
+        observations.append(obs)
         actions.append(action)
         result = env.step(action)
         if action != env.noop_action:
@@ -210,16 +186,6 @@ def realize_solution(
                 )
         obs = result.observation
     return observations, actions
-
-
-def solution_actions(
-    instance: Instance, solution: Solution, horizon: int = 10, next_ops: int = 3
-) -> list[int]:
-    """Action sequence that reproduces a compressed solution from reset."""
-    env = JobShopEnv(instance, horizon=horizon, next_ops=next_ops)
-    env.reset()
-    _, actions = realize_solution(env, compress(instance, solution), record=False)
-    return actions
 
 
 # -- demo generation -----------------------------------------------------
@@ -233,14 +199,13 @@ def generate_demos(
     seed,
     horizon: int = 10,
     next_ops: int = 3,
-    config: PolicyConfig = PolicyConfig(),
 ) -> list[DemoBatch]:
     """One wave of partial expert demonstrations (deterministic in seed)."""
     if not instances:
         raise ValueError("generate_demos needs at least one instance")
     if actor_count < 1:
         raise ValueError("actor_count must be >= 1")
-    policy = NetPolicy(params, config)
+    policy = NetPolicy(params)
     root = np.random.SeedSequence(seed)
     batches = []
     for idx, instance in enumerate(instances):
@@ -269,7 +234,7 @@ def generate_demos(
                         patience=expert_budget.patience,
                         seed=int(np.random.default_rng(actor_seqs[a]).integers(2**31)),
                     ),
-                    warm=rollout_solution_of(episode, instance),
+                    warm=episode.solution,
                     horizon=horizon,
                     next_ops=next_ops,
                 )
@@ -278,37 +243,32 @@ def generate_demos(
                     f"expert failed on instance {instance.name!r}, actor {a}, "
                     f"slice {j}: {exc}"
                 ) from exc
+            # realize_solution continues from the end of the prefix, whose
+            # observations the actor's episode already holds
             env = JobShopEnv(instance, horizon=horizon, next_ops=next_ops)
             env.reset()
-            prefix_obs: list[Observation] = []
-            obs = env.observe()
             for action in prefix:
-                prefix_obs.append(obs)
-                obs = env.step(action).observation
+                env.step(action)
             suffix_obs, suffix_actions = realize_solution(env, expert_solution)
-            expert_traj = Trajectory(
-                observations=prefix_obs + suffix_obs,
-                actions=prefix + suffix_actions,
+            expert = Rollout(
+                solution=expert_solution,
                 makespan=expert_solution.makespan,
+                observations=episode.observations[:j] + suffix_obs,
+                actions=prefix + suffix_actions,
             )
-            if expert_traj.makespan > episode.makespan:
+            if expert.makespan > episode.makespan:
                 raise RuntimeError(
                     f"expert worsened actor {a} on {instance.name!r}: "
-                    f"{expert_traj.makespan} > {episode.makespan}"
+                    f"{expert.makespan} > {episode.makespan}"
                 )
             demos.append(
-                ActorDemo(
-                    prefix=prefix,
-                    actor=episode,
-                    expert=expert_traj,
-                    ratio=expert_traj.makespan / episode.makespan,
-                )
+                ActorDemo(actor=episode, expert=expert, ratio=expert.makespan / episode.makespan)
             )
         batches.append(DemoBatch(instance=instance, slice_index=j, demos=demos))
     return batches
 
 
-def rollout_solution_of(episode: Trajectory, instance: Instance) -> Solution:
+def rollout_solution_of(episode: Rollout, instance: Instance) -> Solution:
     """Reconstruct the schedule an episode produced (episodes are replayable)."""
     env = JobShopEnv(instance)
     env.reset()
@@ -346,19 +306,6 @@ def _group_samples(samples: list[tuple[Observation, int, float]]) -> _SampleSet:
     return out
 
 
-def _policy_probs(
-    params: dict[str, Tensor], batch: ObservationBatch
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Graph-free masked action probabilities of a batch, with the
-    max-shifted logits and the per-row normalisers they came from."""
-    with ad.no_grad():
-        logits = forward_logits(params, batch).data
-    shifted = logits - np.nanmax(np.where(batch.masks, logits, -np.inf), axis=1, keepdims=True)
-    e = np.exp(shifted, where=np.isfinite(shifted), out=np.zeros_like(shifted))
-    totals = e.sum(axis=1, keepdims=True)
-    return shifted, e / totals, totals
-
-
 def _surrogate_update_loop(
     params: dict[str, Tensor],
     optimizer: Adam,
@@ -376,15 +323,19 @@ def _surrogate_update_loop(
     old_terms = []  # p_old * log p_old, constant over the wave
     old_logp_actions = []
     for batch, actions, _ in samples.groups:
-        shifted, probs, totals = _policy_probs(params, batch)
+        with ad.no_grad():
+            probs = masked_softmax(forward_logits(params, batch).data, batch.masks)
         old_probs.append(probs)
         old_terms.append(probs * np.log(np.maximum(probs, 1e-300)))
         # np.log of each positive probability; the masked log-softmax where
         # the probability underflowed to 0 and its log would be -inf
-        rows = np.arange(len(actions))
-        taken = probs[rows, actions]
-        logp = shifted[rows, actions] - np.log(totals[:, 0])
-        old_logp_actions.append(np.log(taken, out=logp, where=taken > 0))
+        taken = probs[np.arange(len(actions)), actions]
+        logp = np.log(taken, where=taken > 0, out=np.zeros_like(taken))
+        under = taken == 0
+        if under.any():
+            with ad.no_grad():
+                logp[under] = action_log_probs(params, batch.take(under), actions[under]).data
+        old_logp_actions.append(logp)
     sizes = [len(a) for _, a, _ in samples.groups]
     offsets = np.cumsum([0] + sizes)
     total = samples.size
@@ -401,10 +352,7 @@ def _surrogate_update_loop(
             sel = picked[offsets[g] : offsets[g + 1]]
             if not sel.any():
                 continue
-            sub = ObservationBatch(
-                features=batch.features[sel], kinds=batch.kinds[sel], masks=batch.masks[sel]
-            )
-            logp = action_log_probs(params, sub, actions[sel])
+            logp = action_log_probs(params, batch.take(sel), actions[sel])
             ratio = (logp - old_logp_actions[g][sel]).exp()
             adv = advs[sel]
             unclipped = (-adv) * ratio
@@ -425,7 +373,9 @@ def _surrogate_update_loop(
         # mean KL(pi_old || pi_new) over the whole wave
         kl_total = 0.0
         for g, (batch, _, _) in enumerate(samples.groups):
-            new_logp = np.log(np.maximum(_policy_probs(params, batch)[1], 1e-300))
+            with ad.no_grad():
+                new_probs = masked_softmax(forward_logits(params, batch).data, batch.masks)
+            new_logp = np.log(np.maximum(new_probs, 1e-300))
             kl_total += (old_terms[g] - old_probs[g] * new_logp).sum()
         stats.final_kl = kl_total / total
         if stats.final_kl > config.kl_limit:
@@ -516,6 +466,7 @@ METRIC_FIELDS = (
     "epoch", "instance", "greedy_makespan", "mean_expert_makespan",
     "mean_i", "applied_iters", "wall_s",
 )
+_METRIC_TYPES = (int, str, int, float, float, int, float)
 
 
 def _save_optimizer(optimizer: Adam, path: Path) -> None:
@@ -546,7 +497,8 @@ def train_loop(
 
     Each epoch writes a checkpoint plus optimizer and metric state under
     ``out_dir``; restarting from ``resume_epoch`` with the same seed
-    continues exactly where the interrupted run stopped.
+    continues exactly where the interrupted run stopped, and leaves the
+    same checkpoints, best epoch and metric rows as an uninterrupted run.
     """
     if not instances:
         raise ValueError("train_loop needs at least one instance")
@@ -565,9 +517,8 @@ def train_loop(
     metrics: list[dict] = []
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        save_params(params, out / "epoch_000.ckpt", net_config)
-        if resume_epoch > 0:
-            _load_optimizer(optimizer, out / f"optimizer_{resume_epoch:03d}.npz")
+        if resume_epoch == 0:
+            save_params(params, out / "epoch_000.ckpt", net_config)
 
     best_epoch = 0
     best_mean = np.inf
@@ -590,6 +541,16 @@ def train_loop(
             best_params=best_params,
         )
 
+    if out is not None and resume_epoch > 0:
+        # the interrupted run's optimizer state, metric rows and best epoch
+        _load_optimizer(optimizer, out / f"optimizer_{resume_epoch:03d}.npz")
+        metrics = [r for r in read_metrics(out / "metrics.csv") if r["epoch"] <= resume_epoch]
+        for epoch in range(1, resume_epoch + 1):
+            mean_greedy = float(np.mean([r["greedy_makespan"] for r in metrics if r["epoch"] == epoch]))
+            if mean_greedy < best_mean:
+                best_mean, best_epoch = mean_greedy, epoch
+        best_params, _ = load_params(out / "best.ckpt")
+
     for epoch in range(resume_epoch + 1, config.epochs + 1):
         t0 = time.monotonic()
         budget = ExpertConfig(
@@ -604,7 +565,6 @@ def train_loop(
             seed=[config.seed, epoch],
             horizon=config.horizon,
             next_ops=config.next_ops,
-            config=net_config,
         )
         update_rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch, 1]))
         fb = train_feedback(params, demos, config, optimizer, update_rng)
@@ -651,3 +611,12 @@ def write_metrics(metrics: list[dict], path: str | Path) -> None:
         writer = csv.DictWriter(fh, fieldnames=METRIC_FIELDS)
         writer.writeheader()
         writer.writerows(metrics)
+
+
+def read_metrics(path: str | Path) -> list[dict]:
+    """Rows of a ``write_metrics`` file, with their values typed back."""
+    with open(path, newline="") as fh:
+        return [
+            {k: cast(row[k]) for k, cast in zip(METRIC_FIELDS, _METRIC_TYPES)}
+            for row in csv.DictReader(fh)
+        ]

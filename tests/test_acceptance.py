@@ -21,18 +21,19 @@ from cpshop.env import F_LB, F_LENGTH, JobShopEnv, SLOT_REAL
 from cpshop.expert import solve_exact
 from cpshop.instances import generate_instance
 from cpshop.model import compress, is_compressed, validate
-from cpshop.net import NetPolicy, PolicyConfig, grad, init_params
+from cpshop.net import NetPolicy, PolicyConfig, init_params
 from cpshop.rules import RULES, RulePolicy, ensemble_solve, greedy_rollout, rollout
 from cpshop.train import (
     ActorDemo,
     DemoBatch,
     TrainConfig,
-    sample_episode,
+    sample_episodes,
     train_feedback,
     train_loop,
 )
 
 from test_model import longest_path_starts, machine_order, random_feasible_solution
+from test_net import policy_grad
 
 
 def report(n, label, ok, detail):
@@ -297,7 +298,7 @@ def test_criterion_6_gradient_check():
             obs = env.reset()
         action = int(rng.choice(np.flatnonzero(obs.mask)))
         coeff = float(rng.uniform(0.5, 2.0))
-        analytic = grad(params, obs, action, coeff)
+        analytic = policy_grad(params, obs, action, coeff)
 
         from cpshop.net import ObservationBatch, action_log_probs
 
@@ -334,8 +335,8 @@ def test_criterion_7_training_algebra():
     # (a) neutrality: no expert improvement leaves parameters bit-identical
     inst = generate_instance(3, 3, seed=77)
     params = init_params(seed=0)
-    episode = sample_episode(inst, NetPolicy(params), np.random.default_rng(0), 10, 3)
-    demo = ActorDemo(prefix=episode.actions[:1], actor=episode, expert=episode, ratio=1.0)
+    episode = sample_episodes(inst, NetPolicy(params), [np.random.default_rng(0)], 10, 3)[0]
+    demo = ActorDemo(actor=episode, expert=episode, ratio=1.0)
     before = {k: v.data.copy() for k, v in params.items()}
     stats = train_feedback(params, [DemoBatch(instance=inst, slice_index=1, demos=[demo])], TrainConfig())
     neutral = (

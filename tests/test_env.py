@@ -49,7 +49,7 @@ def test_reset_clock_is_min_current_end_bound():
     obs = env.reset()
     # current end bounds are 0+3 and 0+4; the clock opens at their minimum
     assert obs.t == 3
-    assert env.current_time() == 3
+    assert env.t == 3
     assert list(obs.mask) == [True, True, True]
 
 
@@ -77,7 +77,7 @@ def test_full_episode_walkthrough():
     r = env.step(0)  # job 0 op 0 fixed at its bound 0
     assert not r.done and r.reward is None and r.makespan is None
     assert r.applied_actions == (0,)
-    assert env.current_time() == 3  # job 1 still dispatchable, no refresh
+    assert r.observation.t == 3  # job 1 still dispatchable, no refresh
 
     r = env.step(1)  # job 1 op 0 fixed at 0, machine 1 busy until 4
     # both second ops now have start bound 4 > 3: the clock refreshes to
@@ -161,8 +161,6 @@ def test_terminal_state_rejects_everything():
         env.step(0)
     with pytest.raises(RuntimeError):
         env.action_mask()
-    with pytest.raises(RuntimeError):
-        env.current_time()
 
 
 def test_next_ops_zero_keeps_two_slots():

@@ -13,7 +13,6 @@ from cpshop.net import (
     action_log_probs,
     forward,
     forward_logits,
-    grad,
     init_params,
     load_params,
     positional_encoding,
@@ -146,12 +145,25 @@ def test_action_log_probs_are_log_softmax_rows():
         assert logp[i] == pytest.approx(expected, rel=1e-12)
 
 
+def policy_grad(params, observation, action, coefficient):
+    """Gradient of ``coefficient * log pi(action | observation)`` w.r.t.
+    every parameter, keyed like the parameter dictionary."""
+    for p in params.values():
+        p.grad = None
+    batch = ObservationBatch.from_observations([observation])
+    (action_log_probs(params, batch, [action]) * coefficient).sum().backward()
+    return {
+        k: (p.grad if p.grad is not None else np.zeros_like(p.data))
+        for k, p in params.items()
+    }
+
+
 def test_grad_matches_finite_differences():
     params = init_params(seed=0)
     obs = observations_for(13, count=1)[0]
     action = int(np.flatnonzero(obs.mask)[0])
     coeff = 0.7
-    grads = grad(params, obs, action, coeff)
+    grads = policy_grad(params, obs, action, coeff)
     rng = np.random.default_rng(0)
     batch = ObservationBatch.from_observations([obs])
 

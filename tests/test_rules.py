@@ -102,6 +102,17 @@ def test_masked_softmax_normalizes_and_masks():
     assert p[1] == 0.0
     assert p.sum() == pytest.approx(1.0)
     assert p[2] > p[0]
+    # a batch is normalised row by row, byte-equal to one row at a time
+    rng = np.random.default_rng(0)
+    batch = rng.normal(scale=5.0, size=(7, 9))
+    masks = rng.random((7, 9)) < 0.6
+    masks[:, 0] = True
+    for t in (1.0, 1.5):
+        rows = np.stack([masked_softmax(row, m, t) for row, m in zip(batch, masks)])
+        assert masked_softmax(batch, masks, t).tobytes() == rows.tobytes()
+    masks[3] = False
+    with pytest.raises(ValueError, match="empty"):
+        masked_softmax(batch, masks)
 
 
 def test_masked_softmax_temperature_flattens():
@@ -126,6 +137,12 @@ def test_masked_softmax_all_minus_inf_falls_back_uniform():
     mask = np.array([True, True, False])
     p = masked_softmax(logits, mask)
     assert p.tolist() == [0.5, 0.5, 0.0]
+    # only the all -inf row of a batch falls back
+    batch = np.stack([logits, [0.0, 1.0, 2.0]])
+    masks = np.stack([mask, [True, False, True]])
+    p = masked_softmax(batch, masks)
+    assert p[0].tolist() == [0.5, 0.5, 0.0]
+    assert p[1].tobytes() == masked_softmax(batch[1], masks[1]).tobytes()
 
 
 # -- rollouts ----------------------------------------------------------
@@ -159,7 +176,7 @@ def test_rollout_continues_partial_episode():
     env = JobShopEnv(inst)
     obs = env.reset()
     obs = env.step(int(np.flatnonzero(obs.mask[:-1])[0])).observation
-    run = rollout(inst, RulePolicy("fifo"), env=env, observation=obs)
+    run = rollout(inst, RulePolicy("fifo"), env=env)
     assert validate(inst, run.solution)
 
 

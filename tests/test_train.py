@@ -5,7 +5,7 @@ import cpshop.train
 from cpshop.env import JobShopEnv
 from cpshop.expert import ExpertConfig
 from cpshop.instances import generate_instance
-from cpshop.model import validate
+from cpshop.model import compress, validate
 from cpshop.net import (
     Adam,
     NetPolicy,
@@ -16,19 +16,18 @@ from cpshop.net import (
     init_params,
     load_params,
 )
-from cpshop.rules import RulePolicy, greedy_rollout, rollout
+from cpshop.rules import Rollout, RulePolicy, greedy_rollout, rollout
 from cpshop.train import (
     ActorDemo,
     DemoBatch,
     TrainConfig,
-    Trajectory,
     _group_samples,
     _surrogate_update_loop,
     generate_demos,
     minmax_scale,
-    sample_episode,
+    read_metrics,
+    realize_solution,
     sample_episodes,
-    solution_actions,
     train_feedback,
     train_initial,
     train_loop,
@@ -42,6 +41,10 @@ def clone(params):
 
 def params_equal(params, snapshot):
     return all((params[k].data == snapshot[k]).all() for k in params)
+
+
+def sample_episode(instance, policy, rng):
+    return sample_episodes(instance, policy, [rng], 10, 3)[0]
 
 
 # -- scaling -----------------------------------------------------------
@@ -70,6 +73,15 @@ def test_config_validation():
 
 
 # -- replaying solutions -----------------------------------------------
+
+
+def solution_actions(inst, solution):
+    """Action sequence that reproduces a compressed solution from reset."""
+    env = JobShopEnv(inst)
+    env.reset()
+    observations, actions = realize_solution(env, compress(inst, solution))
+    assert len(observations) == len(actions)
+    return actions
 
 
 def test_solution_actions_replay_identity():
@@ -117,8 +129,7 @@ def test_generate_demos_shapes_and_ratios():
     min_len = min(len(d.actor.actions) for d in batch.demos)
     assert 0 <= batch.slice_index <= min_len
     for demo in batch.demos:
-        assert demo.prefix == demo.actor.actions[: batch.slice_index]
-        assert demo.prefix == demo.expert.actions[: batch.slice_index]
+        assert demo.expert.actions[: batch.slice_index] == demo.actor.actions[: batch.slice_index]
         assert 0 < demo.ratio <= 1.0
         assert demo.expert.makespan <= demo.actor.makespan
         assert len(demo.actor.observations) == len(demo.actor.actions)
@@ -154,10 +165,10 @@ def test_lockstep_sampling_equals_one_actor_at_a_time(jobs, machines):
     streams = np.random.SeedSequence(7).spawn(4)
     together = sample_episodes(inst, policy, [np.random.default_rng(s) for s in streams], 10, 3)
     for stream, episode in zip(streams, together):
-        assert_same_episode(episode, sample_episode(inst, policy, np.random.default_rng(stream), 10, 3))
+        assert_same_episode(episode, sample_episode(inst, policy, np.random.default_rng(stream)))
         # the per-observation policy path samples the same episode too
         run = rollout(inst, policy, rng=np.random.default_rng(stream), record=True)
-        assert run.actions == episode.actions and run.makespan == episode.makespan
+        assert run.actions == episode.actions and run.solution == episode.solution
     assert len({len(ep.actions) for ep in together}) > 1  # actors finish in different rounds
 
 
@@ -177,6 +188,31 @@ def test_generate_demos_batches_one_forward_per_decision_round(monkeypatch):
     longest = [max(len(d.actor.actions) for d in b.demos) for b in batches]
     assert len(calls) <= sum(longest)
     assert sum(calls) == sum(len(d.actor.actions) for b in batches for d in b.demos)
+
+
+def test_generate_demos_warm_starts_from_the_actor_episode(monkeypatch):
+    calls = []
+    original = cpshop.train.complete_prefix
+
+    def recording(instance, prefix_actions, **kwargs):
+        solution = original(instance, prefix_actions, **kwargs)
+        calls.append((instance, kwargs["warm"], solution))
+        return solution
+
+    monkeypatch.setattr(cpshop.train, "complete_prefix", recording)
+    instances = [generate_instance(4, 4, seed=31), generate_instance(5, 3, seed=32)]
+    budget = ExpertConfig(improve_evals=40, patience=5)
+    batches = generate_demos(instances, init_params(seed=0), 3, budget, seed=1)
+    demos = [(b, d) for b in batches for d in b.demos]
+    assert len(calls) == len(demos)
+    for (instance, warm, solution), (batch, demo) in zip(calls, demos):
+        assert warm is demo.actor.solution and validate(instance, warm)
+        assert warm.makespan == demo.actor.makespan
+        assert demo.expert.solution is solution
+        # the expert record reuses the actor's prefix observations
+        j = batch.slice_index
+        assert len(demo.expert.observations[:j]) == j
+        assert all(e is a for e, a in zip(demo.expert.observations[:j], demo.actor.observations))
 
 
 def test_update_survives_underflowed_action_probability():
@@ -211,8 +247,8 @@ def test_generate_demos_rejects_empty():
 def identical_demo_batch(ratio=1.0):
     inst = generate_instance(3, 3, seed=41)
     params = init_params(seed=0)
-    episode = sample_episode(inst, NetPolicy(params), np.random.default_rng(0), 10, 3)
-    demo = ActorDemo(prefix=episode.actions[:1], actor=episode, expert=episode, ratio=ratio)
+    episode = sample_episode(inst, NetPolicy(params), np.random.default_rng(0))
+    demo = ActorDemo(actor=episode, expert=episode, ratio=ratio)
     return params, [DemoBatch(instance=inst, slice_index=1, demos=[demo])]
 
 
@@ -289,16 +325,16 @@ def two_prefix_demos():
     eps = []
     rng_id = 0
     while len(eps) < 2:
-        ep = sample_episode(inst, policy, np.random.default_rng(rng_id), 10, 3)
+        ep = sample_episode(inst, policy, np.random.default_rng(rng_id))
         rng_id += 1
         if not eps or ep.actions[0] != eps[0].actions[0]:
             eps.append(ep)
     demos = []
     for ep, makespan in zip(eps, (100, 120)):
-        expert = Trajectory(
-            observations=ep.observations, actions=ep.actions, makespan=makespan
+        expert = Rollout(
+            solution=ep.solution, makespan=makespan, observations=ep.observations, actions=ep.actions
         )
-        demos.append(ActorDemo(prefix=ep.actions[:1], actor=ep, expert=expert, ratio=0.9))
+        demos.append(ActorDemo(actor=ep, expert=expert, ratio=0.9))
     return inst, params, [DemoBatch(instance=inst, slice_index=1, demos=demos)]
 
 
@@ -384,6 +420,18 @@ def test_train_loop_writes_artifacts_and_resumes_bit_exact(tmp_path):
         params=resumed_params, resume_epoch=1,
     )
     assert params_equal(full.params, clone(resumed.params))
+    assert params_equal(full.best_params, clone(resumed.best_params))
+    assert (resumed.best_epoch, resumed.best_greedy_mean) == (full.best_epoch, full.best_greedy_mean)
+    # every artifact matches the uninterrupted run's, timings aside
+    for name in ("epoch_000.ckpt", "epoch_001.ckpt", "epoch_002.ckpt", "best.ckpt"):
+        assert (half_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
+
+    def untimed(rows):
+        return [{k: v for k, v in row.items() if k != "wall_s"} for row in rows]
+
+    rows = read_metrics(half_dir / "metrics.csv")
+    assert untimed(rows) == untimed(read_metrics(full_dir / "metrics.csv")) == untimed(full.metrics)
+    assert untimed(resumed.metrics) == untimed(full.metrics)
 
 
 @pytest.mark.filterwarnings("ignore:initial-solution wave skipped")
