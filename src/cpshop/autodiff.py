@@ -31,6 +31,11 @@ def no_grad():
         _grad_enabled = previous
 
 
+def grad_enabled() -> bool:
+    """Whether operations currently record a graph (False inside ``no_grad``)."""
+    return _grad_enabled
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:

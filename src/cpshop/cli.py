@@ -250,7 +250,10 @@ def parse_train_config(path: str | Path, seed: int) -> TrainConfig:
             fields[name] = cast(value.strip())
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad value for {key!r}: {value.strip()!r}") from None
-    return TrainConfig(**fields)
+    try:
+        return TrainConfig(**fields)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_train(args) -> int:

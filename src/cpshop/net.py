@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -127,20 +128,57 @@ class ObservationBatch:
         """The rows picked by an index or boolean array."""
         return ObservationBatch(self.features[rows], self.kinds[rows], self.masks[rows])
 
+    @cached_property
+    def distinct_windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, inverse)`` over the B*J job windows: ``first`` picks one
+        window of each distinct (features, kinds) byte content, and
+        ``inverse`` maps every window back to its position in ``first``."""
+        b, j, s, _ = self.features.shape
+        rows = np.concatenate([
+            np.ascontiguousarray(self.features).reshape(b * j, -1).view(np.uint8),
+            np.ascontiguousarray(self.kinds).reshape(b * j, -1).view(np.uint8),
+        ], axis=1)
+        keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return first, inverse.ravel()
 
-def forward_logits(params: dict[str, Tensor], batch: ObservationBatch) -> Tensor:
-    """Masked action logits, shape (B, J + 1); masked entries are -inf."""
-    b, j, s, _ = batch.features.shape
-    x = Tensor(batch.features) @ params["proj.w"] + params["proj.b"]
-    real = (batch.kinds == SLOT_REAL)[..., None].astype(np.float64)
-    source = (batch.kinds == SLOT_SOURCE)[..., None].astype(np.float64)
-    sink = (batch.kinds == SLOT_SINK)[..., None].astype(np.float64)
+
+def _encode_windows(params: dict[str, Tensor], features: np.ndarray,
+                    kinds: np.ndarray) -> Tensor:
+    """Stage 1: job windows (..., S, 4) with slot kinds (..., S) to pooled
+    embeddings (..., d)."""
+    *lead, s, _ = features.shape
+    x = Tensor(features) @ params["proj.w"] + params["proj.b"]
+    real = (kinds == SLOT_REAL)[..., None].astype(np.float64)
+    source = (kinds == SLOT_SOURCE)[..., None].astype(np.float64)
+    sink = (kinds == SLOT_SINK)[..., None].astype(np.float64)
     x = x * real + params["tok.source"] * source + params["tok.sink"] * sink
     x = x + positional_encoding(s, x.shape[-1])
 
-    x = x.reshape(b * j, s, -1)
+    x = x.reshape(-1, s, x.shape[-1])
     x = _encoder_layer(params, "enc1", x)
-    x = x.mean(axis=1).reshape(b, j, -1)
+    return x.mean(axis=1).reshape(*lead, -1)
+
+
+def forward_logits(params: dict[str, Tensor], batch: ObservationBatch) -> Tensor:
+    """Masked action logits, shape (B, J + 1); masked entries are -inf.
+
+    Without a recorded graph, a batch of several observations runs stage 1
+    once per distinct job window and gathers the embeddings back; windows
+    are encoded independently, so the logits are byte-equal either way.
+    With a graph, stage 1 runs on every window, so the backward pass
+    accumulates each window's gradient in batch order, as a full pass does."""
+    b, j, s, _ = batch.features.shape
+    if b > 1 and not ad.grad_enabled():
+        first, inverse = batch.distinct_windows
+        windows = _encode_windows(
+            params,
+            batch.features.reshape(b * j, s, -1)[first],
+            batch.kinds.reshape(b * j, s)[first],
+        )
+        x = windows[inverse].reshape(b, j, -1)
+    else:
+        x = _encode_windows(params, batch.features, batch.kinds)
     x = _encoder_layer(params, "enc2", x)
 
     job_logits = _mlp(params, "job", x).reshape(b, j)

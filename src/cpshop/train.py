@@ -91,6 +91,10 @@ class TrainConfig:
             raise ValueError("kl_limit must be positive")
         if self.max_updates < 1:
             raise ValueError("max_updates must be >= 1")
+        if self.actor_count < 1:
+            raise ValueError("actor_count must be >= 1")
+        if self.minibatch_size is not None and self.minibatch_size < 1:
+            raise ValueError("minibatch_size must be None or >= 1")
 
 
 @dataclass

@@ -7,6 +7,7 @@ from cpshop.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    DataError,
     main,
     parse_train_config,
 )
@@ -243,6 +244,28 @@ def test_parse_train_config_rejects_bad_value(tmp_path):
     path.write_text("epochs = many\n")
     with pytest.raises(Exception, match="bad value"):
         parse_train_config(path, seed=0)
+
+
+def test_parse_train_config_rejects_out_of_range_value_as_data_error(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text("eps = 2\n")
+    with pytest.raises(DataError, match="clip_eps") as err:
+        parse_train_config(path, seed=0)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("line", ["eps = 2", "actors = 0", "minibatches = 0"])
+def test_train_rejects_out_of_range_config_before_writing(tmp_path, capsys, line):
+    inst = generate_instance(3, 3, seed=21)
+    path = tmp_path / f"{inst.name}.txt"
+    write_instance(inst, path, "taillard")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "run"
+    code = main(["train", "--instances", str(path), "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:initial-solution wave skipped")

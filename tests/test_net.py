@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import cpshop.net
 from cpshop.autodiff import no_grad
 from cpshop.env import JobShopEnv
+from cpshop.expert import ExpertConfig
 from cpshop.instances import generate_instance
 from cpshop.model import validate
 from cpshop.net import (
@@ -19,6 +21,7 @@ from cpshop.net import (
     save_params,
 )
 from cpshop.rules import greedy_rollout
+from cpshop.train import generate_demos
 
 
 def observations_for(seed, count=3, jobs=4, machines=4):
@@ -91,6 +94,78 @@ def test_forward_logits_bitwise_equal_without_graph():
     assert without.data.tobytes() == with_graph.data.tobytes()
     single = ObservationBatch.from_observations(observations[:1])
     assert forward(params, observations[0]).tobytes() == forward_logits(params, single).data[0].tobytes()
+
+
+def wave_batch():
+    """Actor and expert observations of one demo wave, as training stacks them."""
+    instances = [generate_instance(5, 5, seed=s) for s in (41, 42)]
+    budget = ExpertConfig(improve_evals=150, patience=10)
+    batches = generate_demos(instances, init_params(seed=0), 4, budget, seed=0)
+    observations = [
+        obs
+        for b in batches
+        for d in b.demos
+        for obs in d.actor.observations + d.expert.observations
+    ]
+    return ObservationBatch.from_observations(observations)
+
+
+def repeated_batch(copies=50):
+    obs = JobShopEnv(generate_instance(6, 6, seed=1)).reset()
+    return ObservationBatch.from_observations([obs] * copies)
+
+
+def mixed_scale_batch():
+    """Observations of two instances whose load bounds differ."""
+    small = observations_for(12, count=3, jobs=4, machines=4)
+    large = observations_for(13, count=3, jobs=4, machines=6)
+    assert small[0].time_scale != large[0].time_scale
+    return ObservationBatch.from_observations(small + large + small)
+
+
+@pytest.mark.parametrize("make_batch", [wave_batch, repeated_batch, mixed_scale_batch])
+def test_distinct_window_forward_is_byte_equal(make_batch):
+    params = init_params(seed=5)
+    batch = make_batch()
+    b, j = batch.features.shape[:2]
+    first, inverse = batch.distinct_windows
+    windows = batch.features.reshape(b * j, -1)
+    assert windows[first][inverse].tobytes() == windows.tobytes()
+    assert len(first) < b * j  # windows repeat, so the index saves work
+    with no_grad():
+        without = forward_logits(params, batch).data
+    assert without.tobytes() == forward_logits(params, batch).data.tobytes()
+    if make_batch is repeated_batch:
+        assert len(first) == j
+
+
+def test_sub_batch_builds_its_own_window_index():
+    batch = repeated_batch(copies=10)
+    first, _ = batch.distinct_windows
+    sub = batch.take(np.array([0, 3]))
+    assert "distinct_windows" not in sub.__dict__
+    sub_first, sub_inverse = sub.distinct_windows
+    assert len(sub_inverse) == 2 * batch.features.shape[1]
+    assert len(sub_first) == len(first)
+
+
+def test_stage_one_encodes_distinct_windows_only_without_graph(monkeypatch):
+    seen = []
+    original = cpshop.net._encoder_layer
+
+    def recording(params, prefix, x):
+        if prefix == "enc1":
+            seen.append(x.shape[0])
+        return original(params, prefix, x)
+
+    monkeypatch.setattr(cpshop.net, "_encoder_layer", recording)
+    params = init_params(seed=0)
+    batch = repeated_batch(copies=50)
+    b, j = batch.features.shape[:2]
+    with no_grad():
+        forward_logits(params, batch)
+    forward_logits(params, batch)
+    assert seen == [j, b * j]
 
 
 def test_job_permutation_equivariance():

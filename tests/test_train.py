@@ -70,6 +70,11 @@ def test_config_validation():
         TrainConfig(kl_limit=0.0)
     with pytest.raises(ValueError):
         TrainConfig(max_updates=0)
+    with pytest.raises(ValueError, match="actor_count"):
+        TrainConfig(actor_count=0)
+    with pytest.raises(ValueError, match="minibatch_size"):
+        TrainConfig(minibatch_size=0)
+    assert TrainConfig(minibatch_size=None).minibatch_size is None
 
 
 # -- replaying solutions -----------------------------------------------
