@@ -7,8 +7,13 @@ the best incumbent found.
 
 ``improve`` is a critical-path local search over per-machine operation
 sequences: adjacent swaps of critical operations, first-improvement, and
-random feasible perturbations when stuck. A set of pinned operations is
-never moved, which supports completing a frozen schedule prefix.
+random feasible perturbations when stuck. Operations are numbered job by
+job (job ``j``'s ``k``-th is ``first[j] + k``) and every candidate is
+re-timed by ``cpshop.model.earliest_starts``, as in ``compress``. An
+operation is critical when head (earliest start) + processing time + tail
+(longest path from its end to the sink) equals the makespan (Taillard
+1994). Pinned operations are never moved, which supports completing a
+frozen schedule prefix.
 
 ``complete_prefix`` turns a partial dispatch into a full high-quality
 schedule: replay the prefix, finish greedily, then run the pinned local
@@ -24,7 +29,7 @@ import numpy as np
 
 from cpshop.env import JobShopEnv
 from cpshop.instances import Instance
-from cpshop.model import Solution, compress
+from cpshop.model import OperationIndex, Solution, compress, earliest_starts, machine_sequences
 
 
 @dataclass(frozen=True)
@@ -33,7 +38,6 @@ class ExpertConfig:
     runs deterministic, wall-clock budgets make them anytime."""
 
     time_limit: float | None = None
-    node_limit: int | None = 200_000
     improve_evals: int = 4000
     patience: int = 60
     seed: int = 0
@@ -172,101 +176,19 @@ def solve_exact(
     return ExactResult(solution=solution, certified=exhausted, nodes=nodes)
 
 
-# -- machine-sequence evaluation ----------------------------------------
+# -- local search ----------------------------------------------------------
 
 
-def _machine_sequences(instance: Instance, solution: Solution) -> list[list[tuple[int, int]]]:
-    seqs: list[list[tuple[int, int, int]]] = [[] for _ in range(instance.machine_count)]
-    for j, (row, ops) in enumerate(zip(solution.starts, instance.jobs)):
-        for k, (s, op) in enumerate(zip(row, ops)):
-            seqs[op.machine].append((s, j, k))
-    return [[(j, k) for _, j, k in sorted(seq)] for seq in seqs]
-
-
-def _evaluate(instance: Instance, seqs: list[list[tuple[int, int]]]):
-    """Earliest starts under fixed machine sequences via topological order.
-
-    Returns (starts, makespan) or (None, None) when the combined
-    precedence graph has a cycle.
-    """
-    n_ops = [len(ops) for ops in instance.jobs]
-    starts = [[-1] * n for n in n_ops]
-    mpos = {}
-    for m, seq in enumerate(seqs):
-        for i, (j, k) in enumerate(seq):
-            mpos[(j, k)] = (m, i)
-    indeg = {}
-    for j, n in enumerate(n_ops):
-        for k in range(n):
-            d = 0
-            if k > 0:
-                d += 1
-            m, i = mpos[(j, k)]
-            if i > 0:
-                d += 1
-            indeg[(j, k)] = d
-    frontier = [(j, k) for (j, k), d in indeg.items() if d == 0]
-    job_end = [0] * instance.job_count
-    mach_end = [0] * instance.machine_count
-    done = 0
-    makespan = 0
-    while frontier:
-        nxt = []
-        for j, k in frontier:
-            op = instance.jobs[j][k]
-            s = max(job_end[j], mach_end[op.machine])
-            starts[j][k] = s
-            end = s + op.processing_time
-            job_end[j] = max(job_end[j], end)
-            mach_end[op.machine] = max(mach_end[op.machine], end)
-            makespan = max(makespan, end)
-            done += 1
-            if k + 1 < n_ops[j]:
-                indeg[(j, k + 1)] -= 1
-                if indeg[(j, k + 1)] == 0:
-                    nxt.append((j, k + 1))
-            m, i = mpos[(j, k)]
-            if i + 1 < len(seqs[m]):
-                succ = seqs[m][i + 1]
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    nxt.append(succ)
-        frontier = nxt
-    if done != sum(n_ops):
-        return None, None
-    return starts, makespan
-
-
-def _critical_pairs(instance, seqs, starts, makespan):
-    """Adjacent same-machine pairs lying on a critical path."""
-    ends = {}
-    for j, row in enumerate(starts):
-        for k, s in enumerate(row):
-            ends[(j, k)] = s + instance.jobs[j][k].processing_time
-    critical = set()
-    stack = [op for op, e in ends.items() if e == makespan]
-    mpos = {}
-    for m, seq in enumerate(seqs):
-        for i, (j, k) in enumerate(seq):
-            mpos[(j, k)] = (m, i)
-    while stack:
-        op = stack.pop()
-        if op in critical:
-            continue
-        critical.add(op)
-        j, k = op
-        s = starts[j][k]
-        if k > 0 and ends[(j, k - 1)] == s:
-            stack.append((j, k - 1))
-        m, i = mpos[op]
-        if i > 0 and ends[seqs[m][i - 1]] == s:
-            stack.append(seqs[m][i - 1])
-    pairs = []
-    for m, seq in enumerate(seqs):
-        for i in range(len(seq) - 1):
-            if seq[i] in critical and seq[i + 1] in critical:
-                pairs.append((m, i))
-    return pairs
+def _critical(index: OperationIndex, heads, order, machine_next, makespan) -> list[bool]:
+    """Whether each operation lies on a longest path: head + p + tail equals
+    the makespan, with the tails from one reverse pass over ``order``."""
+    proc, job_next = index.proc, index.job_next
+    tails = [0] * len(proc)
+    for o in reversed(order):
+        for succ in (job_next[o], machine_next[o]):
+            if succ >= 0 and proc[succ] + tails[succ] > tails[o]:
+                tails[o] = proc[succ] + tails[succ]
+    return [h + p + t == makespan for h, p, t in zip(heads, proc, tails)]
 
 
 def improve(
@@ -289,33 +211,40 @@ def improve(
     def out_of_time() -> bool:
         return deadline is not None and time.monotonic() > deadline
 
-    seqs = _machine_sequences(instance, compress(instance, solution))
-    starts, makespan = _evaluate(instance, seqs)
-    assert starts is not None
-    best_starts = starts
+    index = OperationIndex.of(instance)
+    pins = {index.first[j] + k for j, k in pinned}
+    seqs = machine_sequences(instance, compress(instance, solution))
+    current = earliest_starts(index, seqs)
+    assert current is not None
+    makespan = index.makespan(current[0])
+    best_heads = current[0]
     best_makespan = makespan
     used = 0
     stale = 0
     while used < evals and stale <= patience and not out_of_time():
-        pairs = _critical_pairs(instance, seqs, starts, makespan)
-        candidates = [
+        movable = [
             (m, i)
-            for m, i in pairs
-            if seqs[m][i] not in pinned and seqs[m][i + 1] not in pinned
+            for m, seq in enumerate(seqs)
+            for i in range(len(seq) - 1)
+            if seq[i] not in pins and seq[i + 1] not in pins
+        ]
+        critical = _critical(index, *current, makespan)
+        candidates = [
+            (m, i) for m, i in movable if critical[seqs[m][i]] and critical[seqs[m][i + 1]]
         ]
         improved = False
         for m, i in candidates:
             if used >= evals or out_of_time():
                 break
             seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
-            new_starts, new_makespan = _evaluate(instance, seqs)
+            result = earliest_starts(index, seqs)
             used += 1
-            if new_starts is not None and new_makespan < makespan:
-                starts, makespan = new_starts, new_makespan
+            if result is not None and index.makespan(result[0]) < makespan:
+                current, makespan = result, index.makespan(result[0])
                 improved = True
                 if makespan < best_makespan:
                     best_makespan = makespan
-                    best_starts = starts
+                    best_heads = current[0]
                     stale = 0
                 break
             seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
@@ -323,12 +252,6 @@ def improve(
             continue
         stale += 1
         # perturb: random feasible adjacent swap of unpinned operations
-        movable = [
-            (m, i)
-            for m, seq in enumerate(seqs)
-            for i in range(len(seq) - 1)
-            if seq[i] not in pinned and seq[i + 1] not in pinned
-        ]
         if not movable:
             break
         perturbed = False
@@ -337,27 +260,22 @@ def improve(
                 break
             m, i = movable[int(rng.integers(len(movable)))]
             seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
-            new_starts, new_makespan = _evaluate(instance, seqs)
+            result = earliest_starts(index, seqs)
             used += 1
-            if new_starts is not None:
-                starts, makespan = new_starts, new_makespan
+            if result is not None:
+                current, makespan = result, index.makespan(result[0])
                 perturbed = True
                 break
             seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
         if not perturbed:
             break
-    return Solution(
-        instance_name=instance.name,
-        starts=tuple(tuple(row) for row in best_starts),
-        makespan=int(best_makespan),
-    )
+    return index.solution(instance.name, best_heads)
 
 
 def complete_prefix(
     instance: Instance,
     prefix_actions: list[int],
     config: ExpertConfig = ExpertConfig(),
-    policy=None,
     warm: Solution | None = None,
     horizon: int = 10,
     next_ops: int = 3,
@@ -365,9 +283,9 @@ def complete_prefix(
     """Best-effort completion of a dispatched prefix into a full schedule.
 
     The prefix actions are replayed verbatim; the remainder is filled
-    greedily with ``policy`` (most work remaining, by default), optionally
-    compared against a warm-start completion, then polished with the
-    prefix pinned.
+    greedily by most work remaining (``mtwr``), replaced by the warm-start
+    completion when that is shorter and keeps the prefix, then polished
+    with the prefix pinned.
     """
     from cpshop.rules import RulePolicy, rollout
 
@@ -380,7 +298,7 @@ def complete_prefix(
         env.step(action)
     if env.done:
         return env.solution()
-    base = rollout(instance, policy or RulePolicy("mtwr"), env=env).solution
+    base = rollout(instance, RulePolicy("mtwr"), env=env).solution
     if warm is not None and warm.makespan < base.makespan:
         prefix_ok = all(
             warm.starts[j][k] == s

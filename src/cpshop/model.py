@@ -8,12 +8,17 @@ computed in :meth:`ModelState.current_lbs` for all jobs at once and in
 :meth:`ModelState.fix_start` for the fixed job. This is exact for the
 chronological lower-bound fixing performed by the dispatching environment.
 
-Also provides solution validation and the polynomial solution compression
-(earliest starts under the solution's machine sequences).
+Also provides solution validation and the package's one evaluator of
+earliest starts under fixed machine orders. It numbers the operations job
+by job (:class:`OperationIndex`), reads each machine's sequence off a
+solution (:func:`machine_sequences`) and computes the heads in one Kahn
+pass (:func:`earliest_starts`). Solution compression and the expert's
+local search both use it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +132,83 @@ class ModelState:
         return Solution(instance_name=self.instance.name, starts=starts, makespan=makespan)
 
 
+# -- earliest starts under fixed machine orders ----------------------------
+
+
+@dataclass(frozen=True)
+class OperationIndex:
+    """Operations numbered job by job: job ``j``'s ``k``-th operation is
+    ``first[j] + k``, and ``first[job_count]`` is the operation count."""
+
+    first: list[int]
+    proc: list[int]
+    job_next: list[int]  # the job's next operation, -1 after its last
+
+    @classmethod
+    def of(cls, instance: Instance) -> OperationIndex:
+        first = [0]
+        for ops in instance.jobs:
+            first.append(first[-1] + len(ops))
+        proc = [op.processing_time for ops in instance.jobs for op in ops]
+        job_next = [
+            o + 1 if o + 1 < b else -1 for a, b in zip(first, first[1:]) for o in range(a, b)
+        ]
+        return cls(first, proc, job_next)
+
+    def makespan(self, heads: list[int]) -> int:
+        return max(map(operator.add, heads, self.proc), default=0)
+
+    def solution(self, instance_name: str, heads: list[int]) -> Solution:
+        starts = tuple(tuple(heads[a:b]) for a, b in zip(self.first, self.first[1:]))
+        return Solution(instance_name, starts, self.makespan(heads))
+
+
+def machine_sequences(instance: Instance, solution: Solution) -> list[list[int]]:
+    """Each machine's operation numbers in start order."""
+    seqs: list[list[tuple[int, int]]] = [[] for _ in range(instance.machine_count)]
+    o = 0
+    for row, ops in zip(solution.starts, instance.jobs):
+        for s, op in zip(row, ops):
+            seqs[op.machine].append((s, o))
+            o += 1
+    return [[o for _, o in sorted(seq)] for seq in seqs]
+
+
+def earliest_starts(index: OperationIndex, seqs: list[list[int]]):
+    """Heads (earliest starts) under fixed machine sequences, by one Kahn
+    pass over the job and machine arcs.
+
+    Returns ``(heads, order, machine_next)``, with ``order`` a topological
+    order of the operations and ``machine_next`` each operation's machine
+    successor (-1 for the last), or None when the arcs form a cycle.
+    """
+    n = len(index.proc)
+    proc, job_next = index.proc, index.job_next
+    machine_next = [-1] * n
+    indeg = [1] * n
+    for f in index.first[:-1]:
+        if f < n:  # a job's first operation has no job predecessor
+            indeg[f] = 0
+    for seq in seqs:
+        for a, b in zip(seq, seq[1:]):
+            machine_next[a] = b
+            indeg[b] += 1
+    heads = [0] * n
+    order = [o for o in range(n) if indeg[o] == 0]
+    for o in order:  # grows while it is walked
+        end = heads[o] + proc[o]
+        for succ in (job_next[o], machine_next[o]):
+            if succ >= 0:
+                if end > heads[succ]:
+                    heads[succ] = end
+                indeg[succ] -= 1
+                if indeg[succ] == 0:
+                    order.append(succ)
+    if len(order) < n:
+        return None
+    return heads, order, machine_next
+
+
 def _check_dims(instance: Instance, solution: Solution) -> str | None:
     if len(solution.starts) != instance.job_count:
         return f"solution has {len(solution.starts)} jobs, instance has {instance.job_count}"
@@ -182,31 +264,9 @@ def compress(instance: Instance, solution: Solution) -> Solution:
     report = validate(instance, solution)
     if not report:
         raise ValueError(f"cannot compress infeasible solution: {report.violation}")
-    # sorting by input start gives a topological order of the precedence
-    # graph (job chains + machine sequences): every predecessor starts
-    # strictly earlier since processing times are positive
-    order = sorted(
-        (s, j, k)
-        for j, row in enumerate(solution.starts)
-        for k, s in enumerate(row)
-    )
-    new_starts = [list(row) for row in solution.starts]
-    job_end = [0] * instance.job_count
-    release = [0] * instance.machine_count
-    makespan = 0
-    for _, j, k in order:
-        op = instance.jobs[j][k]
-        s = max(job_end[j], release[op.machine])
-        new_starts[j][k] = s
-        end = s + op.processing_time
-        job_end[j] = end
-        release[op.machine] = end
-        makespan = max(makespan, end)
-    return Solution(
-        instance_name=solution.instance_name,
-        starts=tuple(tuple(row) for row in new_starts),
-        makespan=makespan,
-    )
+    index = OperationIndex.of(instance)
+    heads, _, _ = earliest_starts(index, machine_sequences(instance, solution))
+    return index.solution(solution.instance_name, heads)
 
 
 def is_compressed(instance: Instance, solution: Solution) -> bool:

@@ -13,7 +13,14 @@ from cpshop.expert import (
     solve_exact,
 )
 from cpshop.instances import generate_instance, parse_instance_text
-from cpshop.model import compress, is_compressed, validate
+from cpshop.model import (
+    OperationIndex,
+    compress,
+    earliest_starts,
+    is_compressed,
+    machine_sequences,
+    validate,
+)
 from cpshop.rules import RulePolicy, greedy_rollout
 
 
@@ -92,6 +99,68 @@ def test_exact_reports_node_count():
 # -- local search ------------------------------------------------------
 
 
+def tight_arc_critical(index, seqs, heads):
+    """Reference critical set: every operation reached from one that ends
+    at the makespan by walking back along tight job and machine arcs."""
+    proc = index.proc
+    ends = [h + p for h, p in zip(heads, proc)]
+    makespan = max(ends)
+    job_prev = {b: a for a, b in enumerate(index.job_next) if b >= 0}
+    machine_prev = {b: a for seq in seqs for a, b in zip(seq, seq[1:])}
+    critical = set()
+    stack = [o for o, e in enumerate(ends) if e == makespan]
+    while stack:
+        o = stack.pop()
+        if o in critical:
+            continue
+        critical.add(o)
+        for prev in (job_prev.get(o), machine_prev.get(o)):
+            if prev is not None and ends[prev] == heads[o]:
+                stack.append(prev)
+    return critical
+
+
+def critical_pairs(seqs, critical):
+    return [
+        (m, i)
+        for m, seq in enumerate(seqs)
+        for i in range(len(seq) - 1)
+        if seq[i] in critical and seq[i + 1] in critical
+    ]
+
+
+def test_head_tail_critical_matches_tight_arc_search():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for jobs, machines in [(3, 3), (5, 5), (8, 4), (10, 10), (20, 5)]:
+        for trial in range(4):
+            inst = generate_instance(jobs, machines, seed=int(rng.integers(1 << 30)))
+            index = OperationIndex.of(inst)
+            base = greedy_rollout(inst, RulePolicy(("spt", "mtwr")[trial % 2]))
+            seqs = machine_sequences(inst, base)
+            for _ in range(4):
+                heads, order, machine_next = earliest_starts(index, seqs)
+                makespan = index.makespan(heads)
+                flags = expert._critical(index, heads, order, machine_next, makespan)
+                reference = tight_arc_critical(index, seqs, heads)
+                assert {o for o, c in enumerate(flags) if c} == reference
+                assert critical_pairs(seqs, reference) == [
+                    (m, i)
+                    for m, seq in enumerate(seqs)
+                    for i in range(len(seq) - 1)
+                    if flags[seq[i]] and flags[seq[i + 1]]
+                ]
+                checked += 1
+                # then a few random adjacent swaps that keep the graph acyclic
+                for _ in range(3):
+                    m = int(rng.integers(machines))
+                    i = int(rng.integers(len(seqs[m]) - 1))
+                    seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
+                    if earliest_starts(index, seqs) is None:
+                        seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
+    assert checked >= 50
+
+
 def test_improve_never_worsens():
     rng = np.random.default_rng(3)
     for trial in range(6):
@@ -131,14 +200,14 @@ def test_improve_stops_at_deadline_mid_pass(monkeypatch):
     # deadline inside an improvement pass
     clock = [0.0]
     seen = []
-    evaluate = expert._evaluate
+    evaluate = expert.earliest_starts
 
-    def ticking_evaluate(instance, seqs):
+    def ticking_evaluate(index, seqs):
         seen.append(clock[0])
         clock[0] += 1.0
-        return evaluate(instance, seqs)
+        return evaluate(index, seqs)
 
-    monkeypatch.setattr(expert, "_evaluate", ticking_evaluate)
+    monkeypatch.setattr(expert, "earliest_starts", ticking_evaluate)
     monkeypatch.setattr(expert, "time", SimpleNamespace(monotonic=lambda: clock[0]))
     inst = generate_instance(15, 15, seed=2)
     base = greedy_rollout(inst, RulePolicy("spt"))

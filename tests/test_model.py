@@ -5,9 +5,12 @@ from cpshop.instances import generate_instance, parse_instance_text
 from cpshop.model import (
     NOT_FIXED,
     ModelState,
+    OperationIndex,
     Solution,
     compress,
+    earliest_starts,
     is_compressed,
+    machine_sequences,
     validate,
 )
 
@@ -81,6 +84,20 @@ def longest_path_starts(instance, solution):
         return starts[node]
 
     return {node: start_of(node) for node in preds}
+
+
+def sweep_compress(instance, solution):
+    """Reference compression: sweep the operations in input start order,
+    a topological order of the job chains and machine sequences."""
+    order = sorted((s, j, k) for j, row in enumerate(solution.starts) for k, s in enumerate(row))
+    starts = [list(row) for row in solution.starts]
+    job_end = [0] * instance.job_count
+    release = [0] * instance.machine_count
+    for _, j, k in order:
+        op = instance.jobs[j][k]
+        starts[j][k] = max(job_end[j], release[op.machine])
+        job_end[j] = release[op.machine] = starts[j][k] + op.processing_time
+    return Solution(solution.instance_name, tuple(map(tuple, starts)), max(job_end))
 
 
 # -- model state -------------------------------------------------------
@@ -226,3 +243,46 @@ def test_is_compressed_detects_slack():
     assert validate(tiny(), sol)
     assert not is_compressed(tiny(), sol)
     assert compress(tiny(), sol).starts == ((0, 4), (0, 4))
+
+
+def test_compress_matches_sort_and_sweep_reference():
+    rng = np.random.default_rng(11)
+    for jobs, machines in [(2, 2), (5, 5), (6, 4), (10, 3), (15, 5)]:
+        for _ in range(10):
+            inst = generate_instance(jobs, machines, seed=int(rng.integers(1 << 30)))
+            sol = random_feasible_solution(inst, rng, pad_max=12)
+            assert compress(inst, sol) == sweep_compress(inst, sol)
+
+
+# -- earliest-start evaluator ------------------------------------------
+
+
+def test_operation_index_numbers_jobs_in_turn():
+    inst = parse_instance_text("3 2\n0 1 1 2\n1 3\n1 4 0 5\n", "orlib")
+    index = OperationIndex.of(inst)
+    assert index.first == [0, 2, 3, 5]
+    assert index.proc == [1, 2, 3, 4, 5]
+    assert index.job_next == [1, -1, -1, 4, -1]
+
+
+def test_earliest_starts_heads_order_and_machine_successors():
+    inst = tiny()
+    index = OperationIndex.of(inst)
+    # machine 0 runs ops 0 then 3, machine 1 runs ops 2 then 1
+    sol = Solution("tiny", ((0, 4), (0, 4)), 6)
+    seqs = machine_sequences(inst, sol)
+    assert seqs == [[0, 3], [2, 1]]
+    heads, order, machine_next = earliest_starts(index, seqs)
+    assert heads == [0, 4, 0, 4]
+    assert sorted(order) == [0, 1, 2, 3]
+    assert order.index(2) < order.index(1) and order.index(0) < order.index(3)
+    assert machine_next == [3, -1, 1, -1]
+    assert index.solution("tiny", heads) == sol
+
+
+def test_earliest_starts_detects_crossing_machine_orders():
+    # machine 0 runs job 1's second op before job 0's first, machine 1 runs
+    # job 0's second op before job 1's first: 0 -> 1 -> 2 -> 3 -> 0
+    index = OperationIndex.of(tiny())
+    assert earliest_starts(index, [[3, 0], [1, 2]]) is None
+    assert earliest_starts(index, [[0, 3], [1, 2]]) is not None
