@@ -29,15 +29,14 @@ import numpy as np
 
 from cpshop.env import JobShopEnv
 from cpshop.instances import Instance
-from cpshop.model import OperationIndex, Solution, compress, earliest_starts, machine_sequences
+from cpshop.model import OperationIndex, Solution, earliest_starts, machine_sequences, validate
 
 
 @dataclass(frozen=True)
 class ExpertConfig:
-    """Budgets for the expert. ``None`` disables a limit; step budgets make
-    runs deterministic, wall-clock budgets make them anytime."""
+    """Step budgets for the expert's local search; they make runs
+    deterministic."""
 
-    time_limit: float | None = None
     improve_evals: int = 4000
     patience: int = 60
     seed: int = 0
@@ -96,12 +95,13 @@ def solve_exact(
     time_limit: float | None = None,
     node_limit: int | None = 200_000,
 ) -> ExactResult:
-    """Branch-and-bound over active schedules; anytime under a budget."""
+    """Branch-and-bound over active schedules; anytime under a budget.
+    ``time_limit`` ends the search only once it has found a schedule."""
     jc = instance.job_count
     mc = instance.machine_count
     n_ops = [len(ops) for ops in instance.jobs]
     total = sum(n_ops)
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    deadline = np.inf if time_limit is None else time.monotonic() + time_limit
 
     best_starts: list[list[int]] | None = None
     best_makespan = np.inf
@@ -127,7 +127,7 @@ def solve_exact(
         if node_limit is not None and nodes > node_limit:
             exhausted = False
             break
-        if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
+        if best_starts is not None and nodes % 256 == 0 and time.monotonic() > deadline:
             exhausted = False
             break
         if scheduled == total:
@@ -167,7 +167,7 @@ def solve_exact(
         else:
             break
     if best_starts is None:
-        raise RuntimeError("budget too small to produce any schedule")
+        raise RuntimeError("node_limit too small to produce any schedule")
     solution = Solution(
         instance_name=instance.name,
         starts=tuple(tuple(row) for row in best_starts),
@@ -213,7 +213,10 @@ def improve(
 
     index = OperationIndex.of(instance)
     pins = {index.first[j] + k for j, k in pinned}
-    seqs = machine_sequences(instance, compress(instance, solution))
+    if not (report := validate(instance, solution)):
+        raise ValueError(f"cannot improve infeasible solution: {report.violation}")
+    # a feasible schedule's start order is its compressed one (p >= 1)
+    seqs = machine_sequences(instance, solution)
     current = earliest_starts(index, seqs)
     assert current is not None
     makespan = index.makespan(current[0])
@@ -315,5 +318,4 @@ def complete_prefix(
         patience=config.patience,
         seed=config.seed,
         pinned=frozenset(pinned),
-        time_limit=config.time_limit,
     )

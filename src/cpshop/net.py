@@ -36,10 +36,6 @@ class PolicyConfig:
     d_ff: int = 32
     next_ops: int = 3
 
-    @property
-    def slots(self) -> int:
-        return 2 + self.next_ops
-
 
 def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)

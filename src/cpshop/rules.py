@@ -1,15 +1,15 @@
 """Dispatching policies: static priority rules, rollouts, and ensembles.
 
 A policy maps an observation to one logit per action (jobs then No-Op).
-Rollouts turn a policy into a complete schedule, either greedily or by
-temperature-controlled sampling; the ensemble runs several sampled
-rollouts at spread-out temperatures and keeps the best schedule.
+``rollout`` turns a policy into a greedy schedule; ``sample_lockstep``
+samples the episodes of several actors at once, each at its own
+temperature; the ensemble samples one per actor and keeps the best.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -70,10 +70,13 @@ def masked_argmax(logits: np.ndarray, mask: np.ndarray) -> int:
     return int(np.argmax(masked))
 
 
-def masked_softmax(logits: np.ndarray, mask: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+def masked_softmax(
+    logits: np.ndarray, mask: np.ndarray, temperature: float | np.ndarray = 1.0
+) -> np.ndarray:
     """Probabilities over unmasked actions at the given temperature,
-    normalised row-wise along the last axis (one row or a batch of rows)."""
-    if temperature <= 0:
+    normalised row-wise along the last axis (one row or a batch of rows).
+    A batch may take one temperature per row as a column."""
+    if (np.asarray(temperature) <= 0).any():
         raise ValueError("temperature must be positive")
     if not mask.any(axis=-1).all():
         raise ValueError("empty action mask")
@@ -99,14 +102,11 @@ class Rollout:
 def rollout(
     instance: Instance,
     policy: Policy,
-    rng: np.random.Generator | None = None,
-    temperature: float = 1.0,
     horizon: int = 10,
     next_ops: int = 3,
-    record: bool = False,
     env: JobShopEnv | None = None,
 ) -> Rollout:
-    """Run one episode with single actions; greedy when ``rng`` is None.
+    """Run one greedy episode with single actions.
 
     Pass ``env`` to continue a partially dispatched episode instead of
     starting from a fresh reset.
@@ -116,22 +116,45 @@ def rollout(
         obs = env.reset()
     else:
         obs = env.observe()
-    out = Rollout(solution=None, makespan=0)  # type: ignore[arg-type]
     while not env.done:
-        logits = policy.logits(obs)
-        if rng is None:
-            action = masked_argmax(logits, obs.mask)
-        else:
-            probs = masked_softmax(logits, obs.mask, temperature)
-            action = int(rng.choice(len(probs), p=probs))
-        if record:
-            out.observations.append(obs)
-            out.actions.append(action)
-        result = env.step(action)
-        obs = result.observation
-    out.solution = env.solution()
-    out.makespan = out.solution.makespan
-    return out
+        obs = env.step(masked_argmax(policy.logits(obs), obs.mask)).observation
+    solution = env.solution()
+    return Rollout(solution=solution, makespan=solution.makespan)
+
+
+def sample_lockstep(
+    envs: list[JobShopEnv],
+    logits_of: Callable[[list[Observation]], np.ndarray],
+    rngs: list[np.random.Generator],
+    temperatures: list[float],
+    record: bool = False,
+) -> list[Rollout]:
+    """Reset the environments and sample one episode on each, in lockstep.
+
+    Each decision round makes one ``logits_of`` call (one row of logits per
+    observation) and one row-wise softmax over the actors still running;
+    each actor then draws from its own generator, so its episode equals
+    the one it would sample alone. ``record`` keeps observations and actions.
+    """
+    current = [env.reset() for env in envs]
+    episodes = [Rollout(solution=None, makespan=0) for _ in envs]  # type: ignore[arg-type]
+    temps = np.asarray(temperatures, dtype=np.float64)[:, None]
+    running = [a for a, env in enumerate(envs) if not env.done]
+    while running:
+        observations = [current[a] for a in running]
+        masks = np.stack([obs.mask for obs in observations])
+        probs = masked_softmax(logits_of(observations), masks, temps[running])
+        for row, a in enumerate(running):
+            action = int(rngs[a].choice(probs.shape[1], p=probs[row]))
+            if record:
+                episodes[a].observations.append(current[a])
+                episodes[a].actions.append(action)
+            current[a] = envs[a].step(action).observation
+        running = [a for a in running if not envs[a].done]
+    for episode, env in zip(episodes, envs):
+        episode.solution = env.solution()
+        episode.makespan = episode.solution.makespan
+    return episodes
 
 
 def greedy_rollout(
@@ -185,26 +208,18 @@ def ensemble_solve(
 ) -> EnsembleResult:
     """Sample one episode per actor at its own temperature, keep the best.
 
-    Each actor draws from an independent stream derived from ``seed``, so
-    results are reproducible and independent of actor scheduling.
+    The actors are stepped in lockstep, each drawing from an independent
+    stream derived from ``seed``, so results are reproducible and each
+    episode equals the one its actor would sample alone.
     """
     if actor_count < 1:
         raise ValueError("actor_count must be >= 1")
     streams = np.random.SeedSequence(seed).spawn(actor_count)
-    best: Solution | None = None
-    makespans = []
-    for a in range(1, actor_count + 1):
-        rng = np.random.default_rng(streams[a - 1])
-        run = rollout(
-            instance,
-            policy,
-            rng=rng,
-            temperature=actor_temperature(a, actor_count),
-            horizon=horizon,
-            next_ops=next_ops,
-        )
-        makespans.append(run.makespan)
-        if best is None or run.makespan < best.makespan:
-            best = run.solution
-    assert best is not None
-    return EnsembleResult(solution=best, makespans=tuple(makespans))
+    runs = sample_lockstep(
+        [JobShopEnv(instance, horizon=horizon, next_ops=next_ops) for _ in streams],
+        lambda observations: np.stack([policy.logits(obs) for obs in observations]),
+        [np.random.default_rng(stream) for stream in streams],
+        [actor_temperature(a, actor_count) for a in range(1, actor_count + 1)],
+    )
+    best = min(runs, key=lambda run: run.makespan)  # the first of equal makespans
+    return EnsembleResult(solution=best.solution, makespans=tuple(run.makespan for run in runs))

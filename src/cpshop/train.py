@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from cpshop.net import (
     load_params,
     save_params,
 )
-from cpshop.rules import Rollout, masked_softmax, rollout
+from cpshop.rules import Rollout, masked_softmax, rollout, sample_lockstep
 
 
 @dataclass
@@ -127,30 +127,16 @@ def sample_episodes(
     horizon: int,
     next_ops: int,
 ) -> list[Rollout]:
-    """One temperature-1 episode per generator, with the actors in lockstep.
+    """One recorded temperature-1 episode per generator, with the actors in
+    lockstep and one graph-free forward pass per decision round."""
 
-    Each decision round makes one graph-free forward pass over the actors
-    still running; every actor then draws from its own stream, so each
-    episode equals the one its generator would sample alone.
-    """
-    envs = [JobShopEnv(instance, horizon=horizon, next_ops=next_ops) for _ in rngs]
-    current = [env.reset() for env in envs]
-    episodes = [Rollout(solution=None, makespan=0) for _ in rngs]  # type: ignore[arg-type]
-    running = [a for a, env in enumerate(envs) if not env.done]
-    while running:
-        batch = ObservationBatch.from_observations([current[a] for a in running])
+    def logits_of(observations: list[Observation]) -> np.ndarray:
         with ad.no_grad():
-            probs = masked_softmax(forward_logits(policy.params, batch).data, batch.masks)
-        for row, a in enumerate(running):
-            action = int(rngs[a].choice(probs.shape[1], p=probs[row]))
-            episodes[a].observations.append(current[a])
-            episodes[a].actions.append(action)
-            current[a] = envs[a].step(action).observation
-        running = [a for a in running if not envs[a].done]
-    for episode, env in zip(episodes, envs):
-        episode.solution = env.solution()
-        episode.makespan = episode.solution.makespan
-    return episodes
+            batch = ObservationBatch.from_observations(observations)
+            return forward_logits(policy.params, batch).data
+
+    envs = [JobShopEnv(instance, horizon=horizon, next_ops=next_ops) for _ in rngs]
+    return sample_lockstep(envs, logits_of, rngs, [1.0] * len(rngs), record=True)
 
 
 def realize_solution(
@@ -232,10 +218,8 @@ def generate_demos(
                 expert_solution = complete_prefix(
                     instance,
                     prefix,
-                    config=ExpertConfig(
-                        time_limit=expert_budget.time_limit,
-                        improve_evals=expert_budget.improve_evals,
-                        patience=expert_budget.patience,
+                    config=replace(
+                        expert_budget,
                         seed=int(np.random.default_rng(actor_seqs[a]).integers(2**31)),
                     ),
                     warm=episode.solution,
@@ -495,7 +479,6 @@ def train_loop(
     out_dir: str | Path | None = None,
     params: dict[str, Tensor] | None = None,
     resume_epoch: int = 0,
-    net_config: PolicyConfig | None = None,
 ) -> TrainResult:
     """Run epochs of demo generation and surrogate updates.
 
@@ -513,7 +496,7 @@ def train_loop(
             "shared slice indices may be degenerate",
             stacklevel=2,
         )
-    net_config = net_config or PolicyConfig(next_ops=config.next_ops)
+    net_config = PolicyConfig(next_ops=config.next_ops)
     if params is None:
         params = init_params(net_config, seed=config.seed)
     optimizer = Adam(params, lr=config.lr)

@@ -89,6 +89,18 @@ def test_solve_exact_reports_certification(tmp_path, capsys):
     assert "certified optimum" in capsys.readouterr().out
 
 
+def test_solve_exact_with_zero_budget(tmp_path, capsys):
+    inst = generate_instance(30, 10, seed=13)
+    path = tmp_path / "inst.txt"
+    write_instance(inst, path, "taillard")
+    out = tmp_path / "sol.txt"
+    code = main(["solve", "--instance", str(path), "--method", "exact", "--budget", "0",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert "best found" in capsys.readouterr().out
+    assert validate(inst, read_solution(out))
+
+
 def test_solve_missing_file_is_data_error(capsys):
     code = main(["solve", "--instance", "/nonexistent/file.txt"])
     assert code == EXIT_DATA

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cpshop import expert
+from cpshop import expert, model
 from cpshop.env import JobShopEnv
 from cpshop.expert import (
     ExpertConfig,
@@ -15,6 +15,7 @@ from cpshop.expert import (
 from cpshop.instances import generate_instance, parse_instance_text
 from cpshop.model import (
     OperationIndex,
+    Solution,
     compress,
     earliest_starts,
     is_compressed,
@@ -87,6 +88,14 @@ def test_exact_budget_on_large_instances(jobs, machines):
     result = solve_exact(inst, node_limit=5000)
     assert not result.certified
     assert result.nodes == 5001
+    assert validate(inst, result.solution)
+
+
+def test_exact_zero_budget_still_returns_a_schedule():
+    # the deadline passes before the first dive completes
+    inst = generate_instance(30, 10, seed=6)
+    result = solve_exact(inst, time_limit=0.0)
+    assert not result.certified
     assert validate(inst, result.solution)
 
 
@@ -178,6 +187,25 @@ def test_improve_zero_evals_compresses_only():
     assert out.makespan <= base.makespan
     assert is_compressed(inst, out)
     assert out == compress(inst, out)
+
+
+def test_improve_evaluates_its_start_once(monkeypatch):
+    inst = generate_instance(6, 6, seed=8)
+    base = greedy_rollout(inst, RulePolicy("spt"))
+    calls = []
+    for module in (model, expert):  # compress evaluates through cpshop.model
+
+        def counting(index, seqs, _evaluate=module.earliest_starts):
+            calls.append(index)
+            return _evaluate(index, seqs)
+
+        monkeypatch.setattr(module, "earliest_starts", counting)
+    out = improve(inst, base, evals=0)
+    assert len(calls) == 1
+    assert out == compress(inst, base)
+    overlap = tuple((0,) * len(row) for row in base.starts)
+    with pytest.raises(ValueError, match="infeasible"):
+        improve(inst, Solution(inst.name, starts=overlap, makespan=base.makespan), evals=0)
 
 
 def test_improve_finds_known_gain():

@@ -4,8 +4,10 @@ import pytest
 from cpshop.env import F_LB, F_LENGTH, JobShopEnv, Observation, SLOT_REAL, SLOT_SINK
 from cpshop.instances import generate_instance, parse_instance_text
 from cpshop.model import validate
+from cpshop.net import NetPolicy, init_params
 from cpshop.rules import (
     RULES,
+    Rollout,
     RulePolicy,
     actor_temperature,
     ensemble_solve,
@@ -14,6 +16,7 @@ from cpshop.rules import (
     masked_softmax,
     pdr_logits,
     rollout,
+    sample_lockstep,
 )
 
 
@@ -110,6 +113,13 @@ def test_masked_softmax_normalizes_and_masks():
     for t in (1.0, 1.5):
         rows = np.stack([masked_softmax(row, m, t) for row, m in zip(batch, masks)])
         assert masked_softmax(batch, masks, t).tobytes() == rows.tobytes()
+    # a column of per-row temperatures, as one row at a time at each
+    temps = rng.uniform(0.5, 2.0, size=(7, 1))
+    rows = np.stack([masked_softmax(row, m, t) for row, m, t in zip(batch, masks, temps[:, 0])])
+    assert masked_softmax(batch, masks, temps).tobytes() == rows.tobytes()
+    temps[2] = 0.0
+    with pytest.raises(ValueError, match="temperature"):
+        masked_softmax(batch, masks, temps)
     masks[3] = False
     with pytest.raises(ValueError, match="empty"):
         masked_softmax(batch, masks)
@@ -157,9 +167,16 @@ def test_greedy_rollout_is_feasible_and_deterministic():
         assert validate(inst, a)
 
 
+def rule_logits(rule):
+    """``logits_of`` for ``sample_lockstep``: one rule row per observation."""
+    return lambda observations: np.stack([pdr_logits(obs, rule) for obs in observations])
+
+
 def test_rollout_records_trace():
     inst = generate_instance(4, 4, seed=5)
-    run = rollout(inst, RulePolicy("spt"), record=True)
+    (run,) = sample_lockstep(
+        [JobShopEnv(inst)], rule_logits("spt"), [np.random.default_rng(0)], [1.0], record=True
+    )
     assert len(run.actions) == len(run.observations)
     assert len(run.actions) >= inst.total_operations
     assert run.makespan == run.solution.makespan
@@ -169,6 +186,11 @@ def test_rollout_records_trace():
     for action in run.actions:
         env.step(action)
     assert env.solution() == run.solution
+    # without record only the schedule is kept
+    (bare,) = sample_lockstep(
+        [JobShopEnv(inst)], rule_logits("spt"), [np.random.default_rng(0)], [1.0]
+    )
+    assert bare.solution == run.solution and bare.actions == bare.observations == []
 
 
 def test_rollout_continues_partial_episode():
@@ -182,8 +204,12 @@ def test_rollout_continues_partial_episode():
 
 def test_sampled_rollout_reproducible_by_seed():
     inst = generate_instance(5, 5, seed=7)
-    a = rollout(inst, RulePolicy("mtwr"), rng=np.random.default_rng(1), temperature=1.5)
-    b = rollout(inst, RulePolicy("mtwr"), rng=np.random.default_rng(1), temperature=1.5)
+    a, b = (
+        sample_lockstep(
+            [JobShopEnv(inst)], rule_logits("mtwr"), [np.random.default_rng(1)], [1.5]
+        )[0]
+        for _ in range(2)
+    )
     assert a.solution == b.solution
 
 
@@ -243,3 +269,79 @@ def test_ensemble_rejects_empty():
     inst = generate_instance(3, 3, seed=1)
     with pytest.raises(ValueError):
         ensemble_solve(inst, RulePolicy("fifo"), actor_count=0)
+
+
+def sample_one_actor(instance, policy, rng, temperature):
+    """Reference: one actor's episode sampled alone, one observation at a
+    time, as ensembles did before their actors were stepped in lockstep."""
+    env = JobShopEnv(instance)
+    obs = env.reset()
+    run = Rollout(solution=None, makespan=0)
+    while not env.done:
+        probs = masked_softmax(policy.logits(obs), obs.mask, temperature)
+        action = int(rng.choice(len(probs), p=probs))
+        run.observations.append(obs)
+        run.actions.append(action)
+        obs = env.step(action).observation
+    run.solution = env.solution()
+    run.makespan = run.solution.makespan
+    return run
+
+
+def ensemble_one_actor_at_a_time(instance, policy, actor_count, seed):
+    streams = np.random.SeedSequence(seed).spawn(actor_count)
+    runs = [
+        sample_one_actor(
+            instance, policy, np.random.default_rng(stream), actor_temperature(a, actor_count)
+        )
+        for a, stream in enumerate(streams, start=1)
+    ]
+    best = None
+    for run in runs:
+        if best is None or run.makespan < best.makespan:
+            best = run
+    return best.solution, tuple(run.makespan for run in runs), runs
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [NetPolicy(init_params(seed=0)), RulePolicy("mtwr"), FlatPolicy()],
+    ids=["net", "mtwr", "flat"],
+)
+def test_ensemble_equals_one_actor_at_a_time(policy):
+    for trial, (jobs, machines) in enumerate([(4, 3), (6, 6), (10, 5)]):
+        inst = generate_instance(jobs, machines, seed=950 + trial)
+        result = ensemble_solve(inst, policy, actor_count=5, seed=trial)
+        solution, makespans, _ = ensemble_one_actor_at_a_time(inst, policy, 5, trial)
+        assert result.makespans == makespans
+        assert result.solution == solution
+
+
+class RecordingPolicy:
+    def __init__(self, policy):
+        self.policy = policy
+        self.seen = []
+
+    def logits(self, observation):
+        self.seen.append(observation)
+        return self.policy.logits(observation)
+
+
+def test_ensemble_steps_its_actors_in_lockstep():
+    inst = generate_instance(6, 6, seed=12)
+    policy = RecordingPolicy(NetPolicy(init_params(seed=0)))
+    ensemble_solve(inst, policy, actor_count=4, seed=3)
+    _, _, runs = ensemble_one_actor_at_a_time(inst, policy.policy, 4, 3)
+    assert len({len(run.actions) for run in runs}) > 1  # actors finish in different rounds
+    # round r shows the r-th observation of every actor still running
+    expected = [
+        run.observations[r]
+        for r in range(max(len(run.observations) for run in runs))
+        for run in runs
+        if r < len(run.observations)
+    ]
+    assert len(policy.seen) == len(expected)
+    for got, want in zip(policy.seen, expected):
+        assert got.t == want.t
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.mask.tobytes() == want.mask.tobytes()
