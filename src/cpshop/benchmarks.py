@@ -10,10 +10,6 @@ to build the published ones, from fixed seeds:
   30x20, 50x15, 50x20, and 100x20, processing times uniform on [1, 99].
 * ``la-like``: 40 instances, 5 each of 10x5, 15x5, 20x5, 10x10, 15x10,
   20x10, 30x10, and 15x15, processing times uniform on [5, 99].
-
-``generator_check`` confirms the generator reproduces a published
-instance bit-exactly from its published seed pair, so any drift from the
-original suites is purely the seed choice, not the mechanism.
 """
 
 from __future__ import annotations
@@ -103,16 +99,6 @@ def lcg_instance(
     )
     return Instance(
         name=name, job_count=job_count, machine_count=machine_count, jobs=jobs
-    )
-
-
-def generator_check() -> bool:
-    """The published seed pair of a known 15x15 instance must reproduce its
-    published first rows exactly."""
-    times, machines = lcg_matrices(15, 15, 840612802, 398197754)
-    return (
-        times[0] == [94, 66, 10, 53, 26, 15, 65, 82, 10, 27, 93, 92, 96, 70, 83]
-        and machines[0] == [7, 13, 5, 8, 4, 3, 11, 12, 9, 15, 10, 14, 6, 1, 2]
     )
 
 

@@ -297,6 +297,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cpshop", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -306,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--fmt", choices=FORMATS, default="taillard")
     bench.add_argument("--methods", default="fifo,spt,mtwr")
     bench.add_argument("--seeds", default="0")
-    bench.add_argument("--actors", type=int, default=8)
+    bench.add_argument("--actors", type=_positive_int, default=8)
     bench.add_argument("--out", default=None, help="per-row CSV path")
     bench.set_defaults(func=cmd_bench)
 
@@ -315,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--fmt", choices=FORMATS, default="taillard")
     solve.add_argument("--method", default="mtwr")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--actors", type=int, default=8)
+    solve.add_argument("--actors", type=_positive_int, default=8)
     solve.add_argument("--budget", type=float, default=None, help="time limit for exact search")
     solve.add_argument("--out", default=None, help="solution file path")
     solve.set_defaults(func=cmd_solve)
@@ -338,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate instances or whole datasets")
     gen.add_argument("--dataset", choices=DATASETS, default=None)
-    gen.add_argument("--jobs", type=int, default=None)
-    gen.add_argument("--machines", type=int, default=None)
+    gen.add_argument("--jobs", type=_positive_int, default=None)
+    gen.add_argument("--machines", type=_positive_int, default=None)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--fmt", choices=FORMATS, default="taillard")
     gen.add_argument("--out", required=True)

@@ -1,7 +1,10 @@
 """Dispatching environment over the interval model.
 
 State: one interval per operation, a per-job window of the previous, the
-current, and the next few operations, and a clock ``t``. An action either
+current, and the next few operations, and a clock ``t``. The windows are
+one grid of operation indices derived from the model's job cursors; an
+operation is loaded only while it lies within ``horizon`` operations of
+its job's current one, and unloaded slots show as sinks. An action either
 dispatches a job (fixing its current operation at its start lower bound)
 or is a No-Op that advances the clock to the next interval-end event.
 
@@ -64,10 +67,6 @@ class Observation:
     def job_count(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def noop_action(self) -> int:
-        return self.job_count
-
 
 @dataclass(frozen=True)
 class StepResult:
@@ -82,6 +81,8 @@ class JobShopEnv:
     """Single-owner dispatching environment for one instance."""
 
     def __init__(self, instance: Instance, horizon: int = 10, next_ops: int = 3):
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
         if next_ops < 0:
             raise ValueError("next_ops must be >= 0")
         self.instance = instance
@@ -94,7 +95,7 @@ class JobShopEnv:
     # -- lifecycle -------------------------------------------------------
 
     def reset(self) -> Observation:
-        model = self.model = ModelState(self.instance, self.horizon)
+        model = self.model = ModelState(self.instance)
         # every first operation can start at 0, so the clock opens at the
         # earliest first-operation end
         self.t = int(model.proc[model.alive(), 0].min())
@@ -127,17 +128,23 @@ class JobShopEnv:
         """
         model = self.model
         jc = self.instance.job_count
-        idx = np.arange(jc)
         alive = model.alive()
         lbs = model.current_lbs()
-        # window of the current and upcoming operations; entries past the
-        # loaded part (or past a job's last operation) are masked out
+        # one grid of operation indices: slot 0 is the previous operation,
+        # slot 1 the current one, later slots the upcoming ones. Indices
+        # before the first operation are sources, those past the horizon
+        # window (or past the job's last operation) are sinks.
         slots = 2 + self.next_ops
-        k = model.cursor[:, None] + np.arange(slots - 1)
-        loaded = alive[:, None] & (k < model.loaded_until[:, None])
-        k = np.minimum(k, model.proc.shape[1] - 1)
-        proc = model.proc[idx[:, None], k]
-        ends = (lbs + proc[:, 0])[alive]
+        k = model.cursor[:, None] + np.arange(-1, slots - 1)
+        window_end = np.minimum(model.n_ops, model.cursor + self.horizon)
+        kinds = np.where(
+            k < 0, SLOT_SOURCE, np.where(k < window_end[:, None], SLOT_REAL, SLOT_SINK)
+        ).astype(np.int8)
+        real = kinds == SLOT_REAL
+        rows = np.arange(jc)[:, None]
+        k = np.minimum(np.maximum(k, 0), model.proc.shape[1] - 1)
+        proc = model.proc[rows, k]
+        ends = (lbs + proc[:, 1])[alive]
         ready = alive & (lbs <= self.t)
         if alive.any() and not ready.any():
             self.t = max(self.t, int(ends.min()))
@@ -146,41 +153,24 @@ class JobShopEnv:
         mask[:jc] = ready
         mask[jc] = alive.any() and bool((ends > self.t).any() or (model.release > self.t).any())
 
-        feats = np.zeros((jc, slots, 4), dtype=np.float64)
-        kinds = np.empty((jc, slots), dtype=np.int8)
-
-        # previous operation: the job's last fixed one, else a source slot
-        has_prev = model.cursor > 0
-        pk = np.maximum(model.cursor - 1, 0)
-        starts = model.starts[idx, pk]
-        kinds[:, 0] = np.where(has_prev, SLOT_REAL, SLOT_SOURCE)
-        feats[:, 0, F_ASSIGNED] = has_prev
-        feats[:, 0, F_LB] = np.where(has_prev, starts, 0)
-        feats[:, 0, F_LENGTH] = np.where(has_prev, model.proc[idx, pk], 0)
-        feats[:, 0, F_AT_T] = has_prev & (starts == self.t)
-
-        # loaded window operations with start lower bounds chained from the
-        # current one; the rest are sinks
-        release = model.release[model.machine[idx[:, None], k]]
-        lb = np.empty_like(proc)
-        lb[:, 0] = lbs
-        for s in range(1, slots - 1):
+        # the previous operation's fixed start, then start lower bounds
+        # chained from the current one
+        release = model.release[model.machine[rows, k]]
+        lb = model.starts[rows, k]
+        lb[:, 1] = lbs
+        for s in range(2, slots):
             lb[:, s] = np.maximum(lb[:, s - 1] + proc[:, s - 1], release[:, s])
-        kinds[:, 1:] = np.where(loaded, SLOT_REAL, SLOT_SINK)
-        feats[:, 1:, F_LB] = np.where(loaded, lb, 0)
-        feats[:, 1:, F_LENGTH] = np.where(loaded, proc, 0)
-        feats[:, 1:, F_AT_T] = loaded & (lb == self.t)
+        feats = np.zeros((jc, slots, 4), dtype=np.float64)
+        feats[:, 0, F_ASSIGNED] = real[:, 0]
+        feats[..., F_LB] = np.where(real, lb, 0)
+        feats[..., F_LENGTH] = np.where(real, proc, 0)
+        feats[..., F_AT_T] = real & (lb == self.t)
 
         self._ends = ends
         self._mask = mask
         self._obs = Observation(
             features=feats, kinds=kinds, mask=mask.copy(), t=self.t, time_scale=self.time_scale
         )
-
-    def action_mask(self) -> np.ndarray:
-        if self.done:
-            raise RuntimeError("terminal state has no actions")
-        return self._mask.copy()
 
     def observe(self) -> Observation:
         self._require_model()

@@ -294,22 +294,14 @@ def complete_prefix(
 
     env = JobShopEnv(instance, horizon=horizon, next_ops=next_ops)
     env.reset()
-    pinned = set()
     for action in prefix_actions:
-        if action != env.noop_action:
-            pinned.add((int(action), int(env.model.cursor[action])))
         env.step(action)
     if env.done:
         return env.solution()
+    pinned = {(j, k) for j in range(instance.job_count) for k in range(env.model.cursor[j])}
     base = rollout(instance, RulePolicy("mtwr"), env=env).solution
     if warm is not None and warm.makespan < base.makespan:
-        prefix_ok = all(
-            warm.starts[j][k] == s
-            for (j, k), s in (
-                ((j, k), base.starts[j][k]) for (j, k) in pinned
-            )
-        )
-        if prefix_ok:
+        if all(warm.starts[j][k] == base.starts[j][k] for j, k in pinned):
             base = warm
     return improve(
         instance,

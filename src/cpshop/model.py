@@ -1,4 +1,4 @@
-"""Scheduling model with lazy horizon loading.
+"""Scheduling state: the schedule fixed so far, one operation at a time.
 
 The model stores, per job, a cursor to the current (first unfixed)
 operation, the end of the job's last fixed operation, and per machine its
@@ -53,11 +53,8 @@ class ModelState:
     immutable and may be shared freely.
     """
 
-    def __init__(self, instance: Instance, horizon: int):
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+    def __init__(self, instance: Instance):
         self.instance = instance
-        self.horizon = horizon
         jc = instance.job_count
         self.n_ops = np.array([len(ops) for ops in instance.jobs], dtype=np.int64)
         self.op_count = int(self.n_ops.sum())
@@ -72,7 +69,6 @@ class ModelState:
         self.prev_end = np.zeros(jc, dtype=np.int64)
         self.release = np.zeros(instance.machine_count, dtype=np.int64)
         self.starts = np.full((jc, max_ops), NOT_FIXED, dtype=np.int64)
-        self.loaded_until = np.minimum(self.n_ops, horizon)
         # finite stand-in for an unbounded start upper bound
         self.ub_sentinel = instance.total_processing_time
         self.fixed_count = 0
@@ -103,8 +99,7 @@ class ModelState:
     def fix_start(self, job: int) -> int:
         """Fix the current operation of ``job`` at its start lower bound.
 
-        Updates the machine release, advances the job cursor, and loads
-        the next operation of the job into the horizon window. Returns
+        Updates the machine release and advances the job cursor. Returns
         the fixed start time.
         """
         k = int(self.cursor[job])
@@ -117,7 +112,6 @@ class ModelState:
         self.prev_end[job] = end
         self.release[m] = end
         self.cursor[job] = k + 1
-        self.loaded_until[job] = min(int(self.n_ops[job]), k + 1 + self.horizon)
         self.fixed_count += 1
         return lb
 

@@ -235,13 +235,20 @@ class Adam:
             v_hat = self.v[name] / (1 - self.beta2**self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state(self) -> dict:
-        return {"t": self.t, "m": self.m, "v": self.v}
+    def state(self) -> dict[str, np.ndarray]:
+        """Flat named arrays: the step count ``t`` and the moments
+        ``m/<param>`` and ``v/<param>``, as an optimizer ``.npz`` holds them."""
+        return {
+            "t": np.array(self.t),
+            **{f"m/{k}": v for k, v in self.m.items()},
+            **{f"v/{k}": v for k, v in self.v.items()},
+        }
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state) -> None:
+        """Read back what :meth:`state` returns, from a dict or an open ``.npz``."""
         self.t = int(state["t"])
-        self.m = {k: np.asarray(v) for k, v in state["m"].items()}
-        self.v = {k: np.asarray(v) for k, v in state["v"].items()}
+        self.m = {k: np.asarray(state[f"m/{k}"]) for k in self.params}
+        self.v = {k: np.asarray(state[f"v/{k}"]) for k in self.params}
 
 
 def forward(params: dict[str, Tensor], observation: Observation) -> np.ndarray:

@@ -85,6 +85,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if self.next_ops < 0:
+            raise ValueError("next_ops must be >= 0")
         if not 0 < self.clip_eps < 1:
             raise ValueError("clip_eps must be in (0, 1)")
         if self.kl_limit <= 0:
@@ -375,15 +381,13 @@ def train_feedback(
     params: dict[str, Tensor],
     demo_batches: list[DemoBatch],
     config: TrainConfig,
-    optimizer: Adam | None = None,
-    rng: np.random.Generator | None = None,
+    optimizer: Adam,
+    rng: np.random.Generator,
 ) -> WaveStats:
     """Reinforce expert completions against the actors' own (Alg.-style
     feedback wave). Exactly neutral when no expert found an improvement."""
     if not demo_batches or all(not b.demos for b in demo_batches):
         raise ValueError("train_feedback needs non-empty demos")
-    optimizer = optimizer or Adam(params, lr=config.lr)
-    rng = rng or np.random.default_rng(config.seed)
     if all(d.ratio == 1.0 for b in demo_batches for d in b.demos):
         return WaveStats(skipped=True, skip_reason="no expert improvement (all ratios 1)")
     raw: list[tuple[Observation, int, float]] = []
@@ -409,15 +413,13 @@ def train_initial(
     params: dict[str, Tensor],
     demo_batches: list[DemoBatch],
     config: TrainConfig,
-    optimizer: Adam | None = None,
-    rng: np.random.Generator | None = None,
+    optimizer: Adam,
+    rng: np.random.Generator,
 ) -> WaveStats:
     """Credit shared prefixes by the expert makespan they led to; better
     than the wave mean is reinforced, worse is penalized."""
     if not demo_batches or all(not b.demos for b in demo_batches):
         raise ValueError("train_initial needs non-empty demos")
-    optimizer = optimizer or Adam(params, lr=config.lr)
-    rng = rng or np.random.default_rng(config.seed)
     raw: list[tuple[Observation, int, float]] = []
     for batch in demo_batches:
         if len(batch.demos) < 2 or batch.slice_index == 0:
@@ -455,22 +457,6 @@ METRIC_FIELDS = (
     "mean_i", "applied_iters", "wall_s",
 )
 _METRIC_TYPES = (int, str, int, float, float, int, float)
-
-
-def _save_optimizer(optimizer: Adam, path: Path) -> None:
-    state = optimizer.state()
-    arrays = {"t": np.array(state["t"])}
-    for key in ("m", "v"):
-        arrays.update({f"{key}/{name}": arr for name, arr in state[key].items()})
-    np.savez(path, **arrays)
-
-
-def _load_optimizer(optimizer: Adam, path: Path) -> None:
-    with np.load(path, allow_pickle=False) as data:
-        state = {"t": data["t"]}
-        for key in ("m", "v"):
-            state[key] = {f[2:]: data[f] for f in data.files if f.startswith(f"{key}/")}
-        optimizer.load_state(state)
 
 
 def train_loop(
@@ -530,7 +516,8 @@ def train_loop(
 
     if out is not None and resume_epoch > 0:
         # the interrupted run's optimizer state, metric rows and best epoch
-        _load_optimizer(optimizer, out / f"optimizer_{resume_epoch:03d}.npz")
+        with np.load(out / f"optimizer_{resume_epoch:03d}.npz", allow_pickle=False) as data:
+            optimizer.load_state(data)
         metrics = [r for r in read_metrics(out / "metrics.csv") if r["epoch"] <= resume_epoch]
         for epoch in range(1, resume_epoch + 1):
             mean_greedy = float(np.mean([r["greedy_makespan"] for r in metrics if r["epoch"] == epoch]))
@@ -581,7 +568,7 @@ def train_loop(
             }
         if out is not None:
             save_params(params, out / f"epoch_{epoch:03d}.ckpt", net_config)
-            _save_optimizer(optimizer, out / f"optimizer_{epoch:03d}.npz")
+            np.savez(out / f"optimizer_{epoch:03d}.npz", **optimizer.state())
             save_params(best_params, out / "best.ckpt", net_config)
             write_metrics(metrics, out / "metrics.csv")
     return TrainResult(

@@ -34,6 +34,7 @@ from cpshop.train import (
 
 from test_model import longest_path_starts, machine_order, random_feasible_solution
 from test_net import policy_grad
+from test_train import run_wave
 
 
 def report(n, label, ok, detail):
@@ -338,7 +339,8 @@ def test_criterion_7_training_algebra():
     episode = sample_episodes(inst, NetPolicy(params), [np.random.default_rng(0)], 10, 3)[0]
     demo = ActorDemo(actor=episode, expert=episode, ratio=1.0)
     before = {k: v.data.copy() for k, v in params.items()}
-    stats = train_feedback(params, [DemoBatch(instance=inst, slice_index=1, demos=[demo])], TrainConfig())
+    batches = [DemoBatch(instance=inst, slice_index=1, demos=[demo])]
+    stats = run_wave(train_feedback, params, batches, TrainConfig())
     neutral = (
         stats.skipped
         and stats.applied_updates == 0
@@ -355,7 +357,7 @@ def test_criterion_7_training_algebra():
     from cpshop.train import generate_demos
 
     demos2 = generate_demos([inst2], params2, 3, ExpertConfig(improve_evals=150, patience=10), seed=2)
-    stats2 = train_feedback(params2, demos2, budget_cfg)
+    stats2 = run_wave(train_feedback, params2, demos2, budget_cfg)
     checks.append(
         ("kl stop", (not stats2.skipped) and stats2.applied_updates == 1
          and stats2.final_kl > budget_cfg.kl_limit)

@@ -6,7 +6,6 @@ from cpshop.benchmarks import (
     LCG_MODULUS,
     TA_LIKE_SIZES,
     dataset,
-    generator_check,
     lcg_instance,
     lcg_matrices,
     lcg_uniform,
@@ -14,7 +13,12 @@ from cpshop.benchmarks import (
 
 
 def test_generator_reproduces_published_instance():
-    assert generator_check()
+    # the published seed pair of a known 15x15 instance reproduces its
+    # published first rows exactly, so the reconstructed suites differ
+    # from the originals only in their seeds
+    times, machines = lcg_matrices(15, 15, 840612802, 398197754)
+    assert times[0] == [94, 66, 10, 53, 26, 15, 65, 82, 10, 27, 93, 92, 96, 70, 83]
+    assert machines[0] == [7, 13, 5, 8, 4, 3, 11, 12, 9, 15, 10, 14, 6, 1, 2]
 
 
 def test_lcg_step_values():

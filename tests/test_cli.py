@@ -53,6 +53,15 @@ def test_gen_requires_size_or_dataset(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", [["--jobs", "0", "--machines", "3"], ["--jobs", "3", "--machines", "0"]])
+def test_gen_rejects_nonpositive_size_as_usage_error(tmp_path, capsys, size):
+    out = tmp_path / "x.txt"
+    code = main(["gen", *size, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "expected an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_dataset_writes_suite(tmp_path):
     out = tmp_path / "la"
     code = main(["gen", "--dataset", "la-like", "--out", str(out)])
@@ -135,6 +144,19 @@ def test_solve_with_policy_and_ensemble(tmp_path, capsys):
         code = main(["solve", "--instance", str(ipath), "--method", method, "--actors", "3"])
         assert code == EXIT_OK
         assert "makespan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_zero_actors_is_usage_error(instance_dir, tmp_path, capsys, command):
+    ckpt = tmp_path / "net.ckpt"
+    save_params(init_params(seed=0), ckpt, PolicyConfig())
+    args = {
+        "solve": ["--instance", str(next(instance_dir.iterdir())), "--method"],
+        "bench": ["--dir", str(instance_dir), "--methods"],
+    }[command]
+    code = main([command, *args, f"ensemble:{ckpt}", "--actors", "0"])
+    assert code == EXIT_USAGE
+    assert "--actors" in capsys.readouterr().err
 
 
 # -- bench -------------------------------------------------------------
@@ -266,7 +288,10 @@ def test_parse_train_config_rejects_out_of_range_value_as_data_error(tmp_path):
     assert str(path) in str(err.value)
 
 
-@pytest.mark.parametrize("line", ["eps = 2", "actors = 0", "minibatches = 0"])
+@pytest.mark.parametrize(
+    "line",
+    ["eps = 2", "actors = 0", "minibatches = 0", "horizon = 0", "next_ops = -1", "epochs = -1"],
+)
 def test_train_rejects_out_of_range_config_before_writing(tmp_path, capsys, line):
     inst = generate_instance(3, 3, seed=21)
     path = tmp_path / f"{inst.name}.txt"

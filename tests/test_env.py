@@ -12,7 +12,7 @@ from cpshop.env import (
     SLOT_SINK,
     SLOT_SOURCE,
 )
-from cpshop.instances import generate_instance, parse_instance_text
+from cpshop.instances import Instance, Operation, generate_instance, parse_instance_text
 from cpshop.model import ModelState, is_compressed, validate
 
 ORLIB_2X2 = "2 2\n0 3 1 2\n1 4 0 1\n"
@@ -144,8 +144,7 @@ def test_masked_job_rejected():
     env = JobShopEnv(inst)
     obs = env.reset()
     assert obs.t == 1
-    env.step(0)
-    mask = env.action_mask()
+    mask = env.step(0).observation.mask
     assert not mask[1] and mask[2]
     with pytest.raises(ActionError, match="job 1 is not dispatchable"):
         env.step(1)
@@ -159,8 +158,7 @@ def test_terminal_state_rejects_everything():
     assert env.done
     with pytest.raises(ActionError, match="over"):
         env.step(0)
-    with pytest.raises(RuntimeError):
-        env.action_mask()
+    assert not env.observe().mask.any()
 
 
 def test_next_ops_zero_keeps_two_slots():
@@ -169,6 +167,11 @@ def test_next_ops_zero_keeps_two_slots():
     assert obs.features.shape == (2, 2, 4)
     with pytest.raises(ValueError):
         tiny_env(next_ops=-1)
+
+
+def test_horizon_checked_at_construction():
+    with pytest.raises(ValueError, match="horizon"):
+        tiny_env(horizon=0)
 
 
 # -- fuzzed invariants -------------------------------------------------
@@ -301,7 +304,6 @@ def test_one_bound_computation_per_step(monkeypatch):
     steps = 0
     while not env.done:
         env.observe()
-        env.action_mask()
         jobs = np.flatnonzero(obs.mask[:-1])
         action = env.noop_action if obs.mask[-1] and rng.random() < 0.2 else int(rng.choice(jobs))
         obs = env.step(action).observation
@@ -318,6 +320,89 @@ def test_step_vector_dispatches_everything_ready():
     # refreshes the clock just like the single-action path
     assert set(result.applied_actions) == {0, 1}
     assert result.observation.t == 5
+
+
+# -- window grid -------------------------------------------------------
+
+
+def two_block_window(model, t, horizon, next_ops):
+    """Features, kinds and mask as built before the window became one grid:
+    the previous slot and the upcoming slots in two separate blocks, with
+    the loaded part bounded per job by ``min(n_ops, cursor + horizon)``."""
+    jc = model.instance.job_count
+    idx = np.arange(jc)
+    alive = model.alive()
+    lbs = model.current_lbs()
+    loaded_until = np.minimum(model.n_ops, model.cursor + horizon)
+    slots = 2 + next_ops
+    k = model.cursor[:, None] + np.arange(slots - 1)
+    loaded = alive[:, None] & (k < loaded_until[:, None])
+    k = np.minimum(k, model.proc.shape[1] - 1)
+    proc = model.proc[idx[:, None], k]
+    ends = (lbs + proc[:, 0])[alive]
+    mask = np.zeros(jc + 1, dtype=bool)
+    mask[:jc] = alive & (lbs <= t)
+    mask[jc] = alive.any() and bool((ends > t).any() or (model.release > t).any())
+
+    feats = np.zeros((jc, slots, 4), dtype=np.float64)
+    kinds = np.empty((jc, slots), dtype=np.int8)
+    has_prev = model.cursor > 0
+    pk = np.maximum(model.cursor - 1, 0)
+    starts = model.starts[idx, pk]
+    kinds[:, 0] = np.where(has_prev, SLOT_REAL, SLOT_SOURCE)
+    feats[:, 0, F_ASSIGNED] = has_prev
+    feats[:, 0, F_LB] = np.where(has_prev, starts, 0)
+    feats[:, 0, F_LENGTH] = np.where(has_prev, model.proc[idx, pk], 0)
+    feats[:, 0, F_AT_T] = has_prev & (starts == t)
+
+    release = model.release[model.machine[idx[:, None], k]]
+    lb = np.empty_like(proc)
+    lb[:, 0] = lbs
+    for s in range(1, slots - 1):
+        lb[:, s] = np.maximum(lb[:, s - 1] + proc[:, s - 1], release[:, s])
+    kinds[:, 1:] = np.where(loaded, SLOT_REAL, SLOT_SINK)
+    feats[:, 1:, F_LB] = np.where(loaded, lb, 0)
+    feats[:, 1:, F_LENGTH] = np.where(loaded, proc, 0)
+    feats[:, 1:, F_AT_T] = loaded & (lb == t)
+    return feats, kinds, mask
+
+
+def uneven_instance(jobs, machines, rng):
+    """Jobs of 1..machines operations on distinct machines each."""
+    ops = []
+    for _ in range(jobs):
+        order = rng.permutation(machines)[: rng.integers(1, machines + 1)]
+        ops.append(tuple(Operation(int(m), int(rng.integers(1, 20))) for m in order))
+    return Instance("uneven", jobs, machines, tuple(ops))
+
+
+@pytest.mark.parametrize("horizon,next_ops", [(10, 3), (1, 3), (2, 0), (3, 5), (2, 2)])
+def test_window_equals_two_block_builder(horizon, next_ops):
+    rng = np.random.default_rng(10 * horizon + next_ops)
+    for trial in range(16):
+        if trial % 2:
+            inst = uneven_instance(6, 5, rng)
+        else:
+            inst = generate_instance(5, 4, seed=500 + trial)
+        env = JobShopEnv(inst, horizon=horizon, next_ops=next_ops)
+        obs = env.reset()
+        while True:
+            feats, kinds, mask = two_block_window(env.model, obs.t, horizon, next_ops)
+            assert obs.t == env.t
+            assert obs.features.dtype == feats.dtype and obs.features.shape == feats.shape
+            assert obs.features.tobytes() == feats.tobytes()
+            assert obs.kinds.dtype == kinds.dtype and obs.kinds.tobytes() == kinds.tobytes()
+            assert obs.mask.tobytes() == mask.tobytes()
+            if env.done:
+                break
+            u = rng.random()
+            if u < 0.3:
+                obs = env.step_vector(rng.permutation(inst.job_count)).observation
+            elif u < 0.45 and obs.mask[-1]:
+                obs = env.step(env.noop_action).observation
+            else:
+                obs = env.step(int(rng.choice(np.flatnonzero(obs.mask[:-1])))).observation
+        assert validate(inst, env.solution())
 
 
 # -- schedule-level idle behavior --------------------------------------

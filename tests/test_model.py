@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpshop.env import F_LENGTH, SLOT_REAL, SLOT_SINK, SLOT_SOURCE, JobShopEnv
 from cpshop.instances import generate_instance, parse_instance_text
 from cpshop.model import (
     NOT_FIXED,
@@ -104,7 +105,7 @@ def sweep_compress(instance, solution):
 
 
 def test_fresh_model_bounds():
-    model = ModelState(tiny(), horizon=10)
+    model = ModelState(tiny())
     assert not model.complete
     assert list(model.current_lbs()) == [0, 0]
     assert list(model.proc[:, 0]) == [3, 4]
@@ -113,7 +114,7 @@ def test_fresh_model_bounds():
 
 
 def test_fix_start_updates_release_and_chain():
-    model = ModelState(tiny(), horizon=10)
+    model = ModelState(tiny())
     assert model.fix_start(0) == 0  # job 0 op 0 on m0, [0, 3)
     assert model.fix_start(1) == 0  # job 1 op 0 on m1, [0, 4)
     # job 0 op 1 needs m1 (released at 4) and its predecessor end 3
@@ -130,15 +131,20 @@ def test_fix_start_updates_release_and_chain():
 
 def test_horizon_limits_loading():
     inst = generate_instance(2, 6, seed=0)
-    model = ModelState(inst, horizon=2)
+    env = JobShopEnv(inst, horizon=2, next_ops=3)
+    obs = env.reset()
     # operations 0 and 1 are loaded, operation 2 is not
-    assert list(model.loaded_until) == [2, 2]
-    model.fix_start(0)
-    assert list(model.loaded_until) == [3, 2]  # window slides on fixing
+    assert obs.kinds.tolist() == [[SLOT_SOURCE, SLOT_REAL, SLOT_REAL, SLOT_SINK, SLOT_SINK]] * 2
+    obs = env.step(0).observation
+    # the window slides on fixing: job 0 now loads operations 1 and 2
+    assert obs.kinds[0].tolist() == [SLOT_REAL, SLOT_REAL, SLOT_REAL, SLOT_SINK, SLOT_SINK]
+    lengths = [op.processing_time for op in inst.jobs[0][:3]]
+    assert obs.features[0, :3, F_LENGTH].tolist() == lengths
+    assert obs.kinds[1].tolist() == [SLOT_SOURCE, SLOT_REAL, SLOT_REAL, SLOT_SINK, SLOT_SINK]
 
 
 def test_finished_job_bound_is_sentinel():
-    model = ModelState(tiny(), horizon=10)
+    model = ModelState(tiny())
     model.fix_start(0)
     model.fix_start(0)
     assert list(model.alive()) == [False, True]
@@ -146,7 +152,7 @@ def test_finished_job_bound_is_sentinel():
 
 
 def test_fix_start_exhausted_job_rejected():
-    model = ModelState(tiny(), horizon=10)
+    model = ModelState(tiny())
     model.fix_start(0)
     model.fix_start(0)
     with pytest.raises(ValueError, match="job 0"):
@@ -154,7 +160,7 @@ def test_fix_start_exhausted_job_rejected():
 
 
 def test_solution_requires_completion():
-    model = ModelState(tiny(), horizon=10)
+    model = ModelState(tiny())
     with pytest.raises(ValueError, match="not complete"):
         model.solution()
 

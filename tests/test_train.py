@@ -47,6 +47,13 @@ def sample_episode(instance, policy, rng):
     return sample_episodes(instance, policy, [rng], 10, 3)[0]
 
 
+def run_wave(wave, params, demo_batches, config):
+    """One ``train_feedback`` or ``train_initial`` wave with a fresh
+    optimizer and a generator seeded from the config."""
+    optimizer = Adam(params, lr=config.lr)
+    return wave(params, demo_batches, config, optimizer, np.random.default_rng(config.seed))
+
+
 # -- scaling -----------------------------------------------------------
 
 
@@ -278,7 +285,7 @@ def identical_demo_batch(ratio=1.0):
 def test_feedback_wave_neutral_when_no_improvement():
     params, batches = identical_demo_batch(ratio=1.0)
     before = clone(params)
-    stats = train_feedback(params, batches, TrainConfig())
+    stats = run_wave(train_feedback, params, batches, TrainConfig())
     assert stats.skipped
     assert stats.applied_updates == 0
     assert params_equal(params, before)  # bit-exact neutrality
@@ -288,7 +295,7 @@ def test_feedback_wave_drops_identical_pairs():
     # improvement reported but trajectories identical: nothing to learn
     params, batches = identical_demo_batch(ratio=0.9)
     before = clone(params)
-    stats = train_feedback(params, batches, TrainConfig())
+    stats = run_wave(train_feedback, params, batches, TrainConfig())
     assert stats.skipped and stats.skip_reason == "all completions identical"
     assert params_equal(params, before)
 
@@ -303,7 +310,7 @@ def test_feedback_wave_updates_and_moves_toward_expert():
     demo = demos[0]
     sub = ObservationBatch.from_observations(demo.expert.observations[j:])
     before_logp = action_log_probs(params, sub, demo.expert.actions[j:]).data.sum()
-    stats = train_feedback(params, batches, config)
+    stats = run_wave(train_feedback, params, batches, config)
     assert not stats.skipped
     assert 1 <= stats.applied_updates <= 5
     after_logp = action_log_probs(params, sub, demo.expert.actions[j:]).data.sum()
@@ -315,7 +322,7 @@ def test_kl_limit_stops_after_one_applied_update():
     if all(d.ratio == 1.0 for d in batches[0].demos):
         pytest.skip("no expert improvement with this seed")
     config = TrainConfig(max_updates=10, minibatch_size=None, lr=0.5, kl_limit=1e-9)
-    stats = train_feedback(params, batches, config)
+    stats = run_wave(train_feedback, params, batches, config)
     # the violating update stays applied, then the loop stops
     assert stats.applied_updates == 1
     assert stats.final_kl > config.kl_limit
@@ -326,14 +333,14 @@ def test_update_count_capped_by_max_updates():
     if all(d.ratio == 1.0 for d in batches[0].demos):
         pytest.skip("no expert improvement with this seed")
     config = TrainConfig(max_updates=3, minibatch_size=None, lr=1e-6, kl_limit=10.0)
-    stats = train_feedback(params, batches, config)
+    stats = run_wave(train_feedback, params, batches, config)
     assert stats.applied_updates == 3
 
 
 def test_feedback_wave_rejects_empty():
     params = init_params(seed=0)
     with pytest.raises(ValueError):
-        train_feedback(params, [], TrainConfig())
+        run_wave(train_feedback, params, [], TrainConfig())
 
 
 # -- initial-solution wave ---------------------------------------------
@@ -374,7 +381,8 @@ def test_initial_wave_reinforces_better_prefix():
         return float(logits[0][0]), float(logits[1][0])
 
     good_before, bad_before = probs()
-    stats = train_initial(params, batches, TrainConfig(max_updates=1, minibatch_size=None, lr=5e-3))
+    config = TrainConfig(max_updates=1, minibatch_size=None, lr=5e-3)
+    stats = run_wave(train_initial, params, batches, config)
     assert not stats.skipped and stats.applied_updates == 1
     good_after, bad_after = probs()
     assert good_after > good_before  # lower expert makespan: reinforced
@@ -385,7 +393,7 @@ def test_initial_wave_skips_without_spread():
     params, batches = identical_demo_batch(ratio=0.9)
     before = clone(params)
     with pytest.warns(UserWarning, match="no prefix spread"):
-        stats = train_initial(params, batches, TrainConfig())
+        stats = run_wave(train_initial, params, batches, TrainConfig())
     assert stats.skipped
     assert params_equal(params, before)
 
@@ -394,7 +402,7 @@ def test_initial_wave_skips_zero_slice():
     inst, params, batches = two_prefix_demos()
     batches[0].slice_index = 0
     with pytest.warns(UserWarning, match="no prefix spread"):
-        stats = train_initial(params, batches, TrainConfig())
+        stats = run_wave(train_initial, params, batches, TrainConfig())
     assert stats.skipped
 
 
@@ -455,6 +463,37 @@ def test_train_loop_writes_artifacts_and_resumes_bit_exact(tmp_path):
     rows = read_metrics(half_dir / "metrics.csv")
     assert untimed(rows) == untimed(read_metrics(full_dir / "metrics.csv")) == untimed(full.metrics)
     assert untimed(resumed.metrics) == untimed(full.metrics)
+
+
+def test_train_loop_resumes_from_a_hand_written_optimizer_file(tmp_path):
+    insts = [generate_instance(3, 3, seed=s) for s in (71, 72)]
+    full = train_loop(insts, tiny_loop_config(2))
+    half_dir = tmp_path / "half"
+    train_loop(insts, tiny_loop_config(1), out_dir=half_dir)
+    path = half_dir / "optimizer_001.npz"
+    names = list(init_params(PolicyConfig(next_ops=3), seed=0))
+    with np.load(path, allow_pickle=False) as data:
+        assert sorted(data.files) == sorted(
+            ["t"] + [f"m/{k}" for k in names] + [f"v/{k}" for k in names]
+        )
+        assert data["t"].dtype == np.int64 and data["t"].shape == ()
+        t = int(data["t"])
+        m = {k: data[f"m/{k}"] for k in names}
+        v = {k: data[f"v/{k}"] for k in names}
+    assert all(a.dtype == np.float64 for a in [*m.values(), *v.values()])
+    # the same state, written key by key: step count, then first and
+    # second moments per parameter
+    arrays = {"t": np.array(t)}
+    arrays.update({f"m/{k}": a for k, a in m.items()})
+    arrays.update({f"v/{k}": a for k, a in v.items()})
+    path.unlink()
+    np.savez(path, **arrays)
+    resumed_params, _ = load_params(half_dir / "epoch_001.ckpt")
+    resumed = train_loop(
+        insts, tiny_loop_config(2), out_dir=half_dir,
+        params=resumed_params, resume_epoch=1,
+    )
+    assert params_equal(full.params, clone(resumed.params))
 
 
 @pytest.mark.filterwarnings("ignore:initial-solution wave skipped")
