@@ -164,10 +164,11 @@ def cmd_bench(args) -> int:
 
 
 def _parse_seeds(text: str) -> list[int]:
+    seed = _int_at_least(0)
     try:
-        seeds = [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        raise UsageError(f"bad seed list {text!r}") from None
+        seeds = [seed(s) for s in text.split(",") if s.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"bad seed list {text!r}: {exc}") from None
     if not seeds:
         raise UsageError("empty seed list")
     return seeds
@@ -297,14 +298,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(lower: int):
+    """An argparse type: an integer no smaller than ``lower``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lower - 1
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lower}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--fmt", choices=FORMATS, default="taillard")
     bench.add_argument("--methods", default="fifo,spt,mtwr")
     bench.add_argument("--seeds", default="0")
-    bench.add_argument("--actors", type=_positive_int, default=8)
+    bench.add_argument("--actors", type=_int_at_least(1), default=8)
     bench.add_argument("--out", default=None, help="per-row CSV path")
     bench.set_defaults(func=cmd_bench)
 
@@ -324,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--instance", required=True)
     solve.add_argument("--fmt", choices=FORMATS, default="taillard")
     solve.add_argument("--method", default="mtwr")
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--actors", type=_positive_int, default=8)
+    solve.add_argument("--seed", type=_int_at_least(0), default=0)
+    solve.add_argument("--actors", type=_int_at_least(1), default=8)
     solve.add_argument("--budget", type=float, default=None, help="time limit for exact search")
     solve.add_argument("--out", default=None, help="solution file path")
     solve.set_defaults(func=cmd_solve)
@@ -342,15 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance file, repeatable or comma-separated")
     train.add_argument("--fmt", choices=FORMATS, default="taillard")
     train.add_argument("--config", default=None, help="key=value config file")
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_int_at_least(0), default=0)
     train.add_argument("--out", required=True, help="checkpoint/metrics directory")
     train.set_defaults(func=cmd_train)
 
     gen = sub.add_parser("gen", help="generate instances or whole datasets")
     gen.add_argument("--dataset", choices=DATASETS, default=None)
-    gen.add_argument("--jobs", type=_positive_int, default=None)
-    gen.add_argument("--machines", type=_positive_int, default=None)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--jobs", type=_int_at_least(1), default=None)
+    gen.add_argument("--machines", type=_int_at_least(1), default=None)
+    gen.add_argument("--seed", type=_int_at_least(0), default=0)
     gen.add_argument("--fmt", choices=FORMATS, default="taillard")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)

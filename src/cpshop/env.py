@@ -23,6 +23,7 @@ Rewards are episodic: the terminal step carries ``-makespan``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +102,14 @@ class JobShopEnv:
         self.t = int(model.proc[model.alive(), 0].min())
         self._settle()
         return self._obs
+
+    def copy(self) -> JobShopEnv:
+        """An independent environment at the same decision state: stepping
+        one leaves the other unchanged. The cached observation is shared,
+        since each transition replaces it and none mutates it."""
+        twin = copy.copy(self)
+        twin.model = self._require_model().copy()
+        return twin
 
     def _require_model(self) -> ModelState:
         if self.model is None:

@@ -16,8 +16,9 @@ operation is critical when head (earliest start) + processing time + tail
 frozen schedule prefix.
 
 ``complete_prefix`` turns a partial dispatch into a full high-quality
-schedule: replay the prefix, finish greedily, then run the pinned local
-search, optionally warm-started by a known completion.
+schedule: it continues an environment stepped to the cut, finishes a copy
+of it greedily, then runs the pinned local search, optionally
+warm-started by a known completion.
 """
 
 from __future__ import annotations
@@ -277,29 +278,25 @@ def improve(
 
 def complete_prefix(
     instance: Instance,
-    prefix_actions: list[int],
+    cut: JobShopEnv,
+    *,
     config: ExpertConfig = ExpertConfig(),
     warm: Solution | None = None,
-    horizon: int = 10,
-    next_ops: int = 3,
 ) -> Solution:
     """Best-effort completion of a dispatched prefix into a full schedule.
 
-    The prefix actions are replayed verbatim; the remainder is filled
-    greedily by most work remaining (``mtwr``), replaced by the warm-start
-    completion when that is shorter and keeps the prefix, then polished
-    with the prefix pinned.
+    ``cut`` is an environment stepped through the prefix and is left
+    unchanged. The remainder is filled greedily by most work remaining
+    (``mtwr``) on a copy of it, replaced by the warm-start completion when
+    that is shorter and keeps the prefix, then polished with the prefix
+    pinned.
     """
     from cpshop.rules import RulePolicy, rollout
 
-    env = JobShopEnv(instance, horizon=horizon, next_ops=next_ops)
-    env.reset()
-    for action in prefix_actions:
-        env.step(action)
-    if env.done:
-        return env.solution()
-    pinned = {(j, k) for j in range(instance.job_count) for k in range(env.model.cursor[j])}
-    base = rollout(instance, RulePolicy("mtwr"), env=env).solution
+    if cut.done:
+        return cut.solution()
+    pinned = {(j, k) for j in range(instance.job_count) for k in range(cut.model.cursor[j])}
+    base = rollout(instance, RulePolicy("mtwr"), env=cut.copy()).solution
     if warm is not None and warm.makespan < base.makespan:
         if all(warm.starts[j][k] == base.starts[j][k] for j, k in pinned):
             base = warm

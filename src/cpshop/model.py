@@ -18,6 +18,7 @@ local search both use it.
 
 from __future__ import annotations
 
+import copy
 import operator
 from dataclasses import dataclass
 
@@ -72,6 +73,17 @@ class ModelState:
         # finite stand-in for an unbounded start upper bound
         self.ub_sentinel = instance.total_processing_time
         self.fixed_count = 0
+
+    def copy(self) -> ModelState:
+        """An independent state at the same point of the schedule. Only the
+        arrays that :meth:`fix_start` mutates are copied; the instance and
+        the operation tables are shared."""
+        twin = copy.copy(self)
+        twin.cursor = self.cursor.copy()
+        twin.prev_end = self.prev_end.copy()
+        twin.release = self.release.copy()
+        twin.starts = self.starts.copy()
+        return twin
 
     # -- queries ---------------------------------------------------------
 

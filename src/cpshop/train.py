@@ -101,6 +101,11 @@ class TrainConfig:
             raise ValueError("actor_count must be >= 1")
         if self.minibatch_size is not None and self.minibatch_size < 1:
             raise ValueError("minibatch_size must be None or >= 1")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+        for name in ("expert_evals_start", "expert_evals_step", "expert_patience"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -220,30 +225,29 @@ def generate_demos(
         demos = []
         for a, episode in enumerate(episodes):
             prefix = episode.actions[:j]
+            # the env at the cut, stepped once: the expert completes a copy
+            # of it and realize_solution continues from it, after the
+            # prefix whose observations the actor's episode already holds
+            cut = JobShopEnv(instance, horizon=horizon, next_ops=next_ops)
+            cut.reset()
+            for action in prefix:
+                cut.step(action)
             try:
                 expert_solution = complete_prefix(
                     instance,
-                    prefix,
+                    cut,
                     config=replace(
                         expert_budget,
                         seed=int(np.random.default_rng(actor_seqs[a]).integers(2**31)),
                     ),
                     warm=episode.solution,
-                    horizon=horizon,
-                    next_ops=next_ops,
                 )
             except Exception as exc:
                 raise RuntimeError(
                     f"expert failed on instance {instance.name!r}, actor {a}, "
                     f"slice {j}: {exc}"
                 ) from exc
-            # realize_solution continues from the end of the prefix, whose
-            # observations the actor's episode already holds
-            env = JobShopEnv(instance, horizon=horizon, next_ops=next_ops)
-            env.reset()
-            for action in prefix:
-                env.step(action)
-            suffix_obs, suffix_actions = realize_solution(env, expert_solution)
+            suffix_obs, suffix_actions = realize_solution(cut, expert_solution)
             expert = Rollout(
                 solution=expert_solution,
                 makespan=expert_solution.makespan,

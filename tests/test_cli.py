@@ -159,6 +159,21 @@ def test_zero_actors_is_usage_error(instance_dir, tmp_path, capsys, command):
     assert "--actors" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "solve", "train", "bench"])
+def test_negative_seed_is_usage_error(instance_dir, tmp_path, capsys, command):
+    instance = str(next(instance_dir.iterdir()))
+    out = tmp_path / "out"
+    args = {
+        "gen": ["gen", "--jobs", "3", "--machines", "3", "--seed", "-1", "--out", str(out)],
+        "solve": ["solve", "--instance", instance, "--seed", "-1", "--out", str(out)],
+        "train": ["train", "--instances", instance, "--seed", "-1", "--out", str(out)],
+        "bench": ["bench", "--dir", str(instance_dir), "--seeds", "0,-1", "--out", str(out)],
+    }[command]
+    assert main(args) == EXIT_USAGE
+    assert "expected an integer >= 0, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- bench -------------------------------------------------------------
 
 
@@ -290,7 +305,11 @@ def test_parse_train_config_rejects_out_of_range_value_as_data_error(tmp_path):
 
 @pytest.mark.parametrize(
     "line",
-    ["eps = 2", "actors = 0", "minibatches = 0", "horizon = 0", "next_ops = -1", "epochs = -1"],
+    [
+        "eps = 2", "actors = 0", "minibatches = 0", "horizon = 0", "next_ops = -1", "epochs = -1",
+        "lr = 0", "lr = -0.001", "expert_budget_start = -5",
+        "epochs = 2\nexpert_budget_step = -5000",
+    ],
 )
 def test_train_rejects_out_of_range_config_before_writing(tmp_path, capsys, line):
     inst = generate_instance(3, 3, seed=21)

@@ -288,6 +288,53 @@ def test_step_vector_replay_bisimulation():
     assert repeated > 0
 
 
+def model_arrays(env):
+    model = env.model
+    return [model.cursor, model.prev_end, model.release, model.starts]
+
+
+def obs_bytes(obs):
+    return (obs.features.tobytes(), obs.kinds.tobytes(), obs.mask.tobytes(), obs.t)
+
+
+@pytest.mark.parametrize("jobs,machines,prefix", [(6, 6, 0), (6, 6, 11), (10, 4, 17)])
+def test_copy_steps_independently_of_its_original(jobs, machines, prefix):
+    inst = generate_instance(jobs, machines, seed=40 + prefix)
+    rng = np.random.default_rng(prefix)
+    env = JobShopEnv(inst, horizon=3, next_ops=2)
+    obs = env.reset()
+
+    def pick(obs):
+        ready = np.flatnonzero(obs.mask[:-1])
+        return env.noop_action if obs.mask[-1] and rng.random() < 0.2 else int(rng.choice(ready))
+
+    for _ in range(prefix):
+        obs = env.step(pick(obs)).observation
+    before = obs_bytes(obs)
+    arrays = [a.copy() for a in model_arrays(env)]
+    state = (env.t, env.model.fixed_count)
+    twin = env.copy()
+    assert twin.observe() is obs  # the cached observation is shared
+    actions, seen = [], []
+    while not twin.done:
+        actions.append(pick(twin.observe()))
+        seen.append(obs_bytes(twin.step(actions[-1]).observation))
+    # stepping the copy left the original untouched
+    assert env.observe() is obs and obs_bytes(obs) == before
+    assert (env.t, env.model.fixed_count) == state
+    for a, b in zip(arrays, model_arrays(env)):
+        assert a.tobytes() == b.tobytes()
+    # the same actions take the original through byte-equal observations
+    for action, expected in zip(actions, seen):
+        assert obs_bytes(env.step(action).observation) == expected
+    assert env.solution() == twin.solution()
+
+
+def test_copy_requires_reset():
+    with pytest.raises(RuntimeError, match="reset"):
+        tiny_env().copy()
+
+
 def test_one_bound_computation_per_step(monkeypatch):
     calls = []
     current_lbs = ModelState.current_lbs

@@ -275,71 +275,75 @@ def test_improve_respects_pins():
 # -- prefix completion -------------------------------------------------
 
 
+def random_prefix(inst, steps, seed):
+    """An environment stepped through ``steps`` random job actions (all of
+    them when ``steps`` is None), and the fixed (job, op, start) triples."""
+    env = JobShopEnv(inst)
+    obs = env.reset()
+    fixed = []
+    rng = np.random.default_rng(seed)
+    while not env.done and (steps is None or len(fixed) < steps):
+        a = int(rng.choice(np.flatnonzero(obs.mask[:-1])))
+        k = int(env.model.cursor[a])
+        obs = env.step(a).observation
+        fixed.append((a, k, int(env.model.starts[a, k])))
+    return env, fixed
+
+
 def test_complete_prefix_empty_prefix():
     inst = generate_instance(4, 4, seed=6)
-    sol = complete_prefix(inst, [], ExpertConfig(improve_evals=300))
+    cut = JobShopEnv(inst)
+    cut.reset()
+    sol = complete_prefix(inst, cut, config=ExpertConfig(improve_evals=300))
     assert validate(inst, sol)
 
 
 def test_complete_prefix_full_prefix_is_identity():
     inst = generate_instance(4, 4, seed=7)
-    env = JobShopEnv(inst)
-    obs = env.reset()
-    actions = []
-    rng = np.random.default_rng(0)
-    while not env.done:
-        choices = np.flatnonzero(obs.mask[:-1])
-        a = int(rng.choice(choices))
-        actions.append(a)
-        obs = env.step(a).observation
-    full = env.solution()
-    assert complete_prefix(inst, actions) == full
+    cut, _ = random_prefix(inst, None, seed=0)
+    assert cut.done
+    assert complete_prefix(inst, cut) == cut.solution()
 
 
 def test_complete_prefix_preserves_prefix_starts():
     inst = generate_instance(5, 5, seed=8)
-    env = JobShopEnv(inst)
-    obs = env.reset()
-    actions = []
-    fixed = []
-    rng = np.random.default_rng(1)
-    for _ in range(6):
-        choices = np.flatnonzero(obs.mask[:-1])
-        a = int(rng.choice(choices))
-        k = int(env.model.cursor[a])
-        actions.append(a)
-        obs = env.step(a).observation
-        fixed.append((a, k, int(env.model.starts[a, k])))
-    sol = complete_prefix(inst, actions, ExpertConfig(improve_evals=500))
+    cut, fixed = random_prefix(inst, 6, seed=1)
+    sol = complete_prefix(inst, cut, config=ExpertConfig(improve_evals=500))
     assert validate(inst, sol)
     for j, k, s in fixed:
         assert sol.starts[j][k] == s
 
 
+def test_complete_prefix_leaves_the_cut_unchanged():
+    inst = generate_instance(6, 6, seed=11)
+    cut, _ = random_prefix(inst, 9, seed=3)
+    obs = cut.observe()
+    before = [a.copy() for a in (obs.features, obs.kinds, obs.mask, cut.model.cursor,
+                                 cut.model.prev_end, cut.model.release, cut.model.starts)]
+    state = (cut.t, cut.model.fixed_count)
+    warm = greedy_rollout(inst, RulePolicy("spt"))
+    complete_prefix(inst, cut, config=ExpertConfig(improve_evals=200), warm=warm)
+    assert cut.observe() is obs and (cut.t, cut.model.fixed_count) == state
+    after = (obs.features, obs.kinds, obs.mask, cut.model.cursor, cut.model.prev_end,
+             cut.model.release, cut.model.starts)
+    for a, b in zip(before, after):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_complete_prefix_warm_start_can_win():
     inst = generate_instance(5, 5, seed=9)
     warm = improve(inst, greedy_rollout(inst, RulePolicy("mtwr")), evals=2000, seed=0)
-    sol = complete_prefix(inst, [], ExpertConfig(improve_evals=0), warm=warm)
+    cut = JobShopEnv(inst)
+    cut.reset()
+    sol = complete_prefix(inst, cut, config=ExpertConfig(improve_evals=0), warm=warm)
     assert sol.makespan <= warm.makespan
 
 
 def test_complete_prefix_not_worse_than_greedy_completion():
     inst = generate_instance(6, 6, seed=10)
-    env = JobShopEnv(inst)
-    obs = env.reset()
-    actions = []
-    rng = np.random.default_rng(2)
-    for _ in range(4):
-        choices = np.flatnonzero(obs.mask[:-1])
-        a = int(rng.choice(choices))
-        actions.append(a)
-        obs = env.step(a).observation
-    sol = complete_prefix(inst, actions, ExpertConfig(improve_evals=600))
+    cut, _ = random_prefix(inst, 4, seed=2)
+    sol = complete_prefix(inst, cut, config=ExpertConfig(improve_evals=600))
     from cpshop.rules import rollout
 
-    env2 = JobShopEnv(inst)
-    env2.reset()
-    for a in actions:
-        env2.step(a)
-    greedy = rollout(inst, RulePolicy("mtwr"), env=env2).solution
+    greedy = rollout(inst, RulePolicy("mtwr"), env=cut.copy()).solution
     assert sol.makespan <= greedy.makespan

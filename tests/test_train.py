@@ -82,6 +82,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="minibatch_size"):
         TrainConfig(minibatch_size=0)
     assert TrainConfig(minibatch_size=None).minibatch_size is None
+    for lr in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+    for name in ("expert_evals_start", "expert_evals_step", "expert_patience"):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: -1})
+        assert getattr(TrainConfig(**{name: 0}), name) == 0
 
 
 # -- replaying solutions -----------------------------------------------
@@ -224,8 +231,8 @@ def test_generate_demos_warm_starts_from_the_actor_episode(monkeypatch):
     calls = []
     original = cpshop.train.complete_prefix
 
-    def recording(instance, prefix_actions, **kwargs):
-        solution = original(instance, prefix_actions, **kwargs)
+    def recording(instance, cut, **kwargs):
+        solution = original(instance, cut, **kwargs)
         calls.append((instance, kwargs["warm"], solution))
         return solution
 
@@ -243,6 +250,45 @@ def test_generate_demos_warm_starts_from_the_actor_episode(monkeypatch):
         j = batch.slice_index
         assert len(demo.expert.observations[:j]) == j
         assert all(e is a for e, a in zip(demo.expert.observations[:j], demo.actor.observations))
+
+
+def test_generate_demos_steps_each_prefix_once(monkeypatch):
+    resets = []
+    reset = JobShopEnv.reset
+
+    def counting(env):
+        resets.append(env)
+        return reset(env)
+
+    cuts = []
+    original = cpshop.train.complete_prefix
+
+    def recording(instance, cut, **kwargs):
+        cuts.append(cut.observe())
+        return original(instance, cut, **kwargs)
+
+    monkeypatch.setattr(JobShopEnv, "reset", counting)
+    monkeypatch.setattr(cpshop.train, "complete_prefix", recording)
+    instances = [generate_instance(4, 4, seed=31), generate_instance(5, 3, seed=32)]
+    actor_count = 3
+    budget = ExpertConfig(improve_evals=40, patience=5)
+    batches = generate_demos(instances, init_params(seed=0), actor_count, budget, seed=1)
+    # one reset for sampling and one for the cut, per actor
+    assert len(resets) == 2 * actor_count * len(instances)
+    demos = [(b, d) for b in batches for d in b.demos]
+    assert len(cuts) == len(demos)
+    checked = 0
+    for cut_obs, (batch, demo) in zip(cuts, demos):
+        j = batch.slice_index
+        if j < len(demo.actor.actions):
+            actor_obs = demo.actor.observations[j]
+            for name in ("features", "kinds", "mask"):
+                assert getattr(cut_obs, name).tobytes() == getattr(actor_obs, name).tobytes()
+            assert cut_obs.t == actor_obs.t
+            # the expert's record continues from the same cut
+            assert demo.expert.observations[j] is cut_obs
+            checked += 1
+    assert checked and any(b.slice_index > 0 for b in batches)
 
 
 def test_update_survives_underflowed_action_probability():
