@@ -1,39 +1,18 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Just enough operator coverage for a small transformer policy: elementwise
-arithmetic with broadcasting, matmul, tanh/exp/log/sqrt, reductions,
-reshaping, indexing, concatenation, elementwise max/clip, and numerically
-stable (log-)softmax primitives. Gradients are float64 throughout.
-
-Inside a ``no_grad()`` scope operations compute the same values but record
-no graph, so inference passes keep no intermediate arrays alive.
+arithmetic with broadcasting, matmul, exp, tanh, sqrt, reductions, reshaping,
+indexing, concatenation, elementwise max/clip, (log-)softmax and layer norm.
+Gradients are float64 throughout. A result records a graph exactly when one
+of its inputs requires grad. ``concat``, ``tanh``, ``sqrt``, ``softmax``,
+``log_softmax`` and ``layer_norm`` also take plain ndarrays and return the
+plain ndarray of the same numpy expression, so one layer definition serves
+the differentiated pass and inference on plain weights alike.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Scope in which operation results record no parents and no backward
-    closure and do not require grad; the previous state is restored on exit."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
-
-
-def grad_enabled() -> bool:
-    """Whether operations currently record a graph (False inside ``no_grad``)."""
-    return _grad_enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -61,19 +40,13 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or (
-            _grad_enabled and any(p.requires_grad for p in parents)
-        )
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -140,9 +113,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-astensor(other))
 
-    def __rsub__(self, other):
-        return astensor(other) + (-self)
-
     def __mul__(self, other):
         other = astensor(other)
         return Tensor(
@@ -167,9 +137,6 @@ class Tensor:
             ),
         )
 
-    def __rtruediv__(self, other):
-        return astensor(other) / self
-
     def __matmul__(self, other):
         other = astensor(other)
 
@@ -179,6 +146,9 @@ class Tensor:
             return _unbroadcast(ga, self.shape), _unbroadcast(gb, other.shape)
 
         return Tensor(self.data @ other.data, parents=(self, other), backward=back)
+
+    def __rmatmul__(self, other):
+        return astensor(other) @ self
 
     # -- shaping --------------------------------------------------------
 
@@ -207,22 +177,9 @@ class Tensor:
 
     # -- elementwise functions ------------------------------------------
 
-    def tanh(self):
-        out = np.tanh(self.data)
-        return Tensor(out, parents=(self,), backward=lambda g: (g * (1 - out**2),))
-
     def exp(self):
         out = np.exp(self.data)
         return Tensor(out, parents=(self,), backward=lambda g: (g * out,))
-
-    def log(self):
-        return Tensor(
-            np.log(self.data), parents=(self,), backward=lambda g: (g / self.data,)
-        )
-
-    def sqrt(self):
-        out = np.sqrt(self.data)
-        return Tensor(out, parents=(self,), backward=lambda g: (g / (2 * out),))
 
     # -- reductions -----------------------------------------------------
 
@@ -249,18 +206,25 @@ def astensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+def _data(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _node(out: np.ndarray, inputs, backward):
+    """``out`` as a node over ``inputs``; the bare array if none is a Tensor."""
+    if not any(isinstance(x, Tensor) for x in inputs):
+        return out
+    return Tensor(out, parents=tuple(map(astensor, inputs)), backward=backward)
+
+
+def concat(tensors: list, axis: int = 0):
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
     def back(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        parents=tuple(tensors),
-        backward=back,
-    )
+    return _node(np.concatenate([_data(t) for t in tensors], axis=axis), tensors, back)
 
 
 def maximum(a: Tensor, b) -> Tensor:
@@ -289,9 +253,20 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
     )
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
+def tanh(t):
+    out = np.tanh(_data(t))
+    return _node(out, (t,), lambda g: (g * (1 - out**2),))
+
+
+def sqrt(t):
+    out = np.sqrt(_data(t))
+    return _node(out, (t,), lambda g: (g / (2 * out),))
+
+
+def softmax(t, axis: int = -1):
     """Numerically stable softmax; rows may contain -inf entries."""
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
+    x = _data(t)
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
 
@@ -299,11 +274,12 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
         dot = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - dot),)
 
-    return Tensor(out, parents=(t,), backward=back)
+    return _node(out, (t,), back)
 
 
-def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
+def log_softmax(t, axis: int = -1):
+    x = _data(t)
+    shifted = x - x.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
     probs = np.exp(out)
@@ -311,12 +287,12 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     def back(g):
         return (g - probs * g.sum(axis=axis, keepdims=True),)
 
-    return Tensor(out, parents=(t,), backward=back)
+    return _node(out, (t,), back)
 
 
-def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(t, gamma, beta, eps: float = 1e-5):
     """Normalize the last axis to zero mean and unit variance, then scale."""
     mu = t.mean(axis=-1, keepdims=True)
     centered = t - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gamma + beta
+    return centered / sqrt(var + eps) * gamma + beta

@@ -89,9 +89,12 @@ def _load_method(spec: str, actor_count: int):
     if spec.startswith("policy:") or spec.startswith("ensemble:"):
         kind, _, ckpt = spec.partition(":")
         path = Path(ckpt)
-        if not path.exists():
+        if not path.is_file():
             raise DataError(f"checkpoint not found: {ckpt}")
-        params, net_config = load_params(path)
+        try:
+            params, net_config = load_params(path)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
         policy = NetPolicy(params, net_config)
         if kind == "policy":
 

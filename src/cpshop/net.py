@@ -36,6 +36,10 @@ class PolicyConfig:
     d_ff: int = 32
     next_ops: int = 3
 
+    def __post_init__(self):
+        if self.d_model < 1 or self.d_ff < 1 or self.next_ops < 0:
+            raise ValueError("PolicyConfig needs d_model >= 1, d_ff >= 1 and next_ops >= 0")
+
 
 def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
@@ -79,7 +83,7 @@ def positional_encoding(positions: int, d_model: int) -> np.ndarray:
     return enc
 
 
-def _encoder_layer(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+def _encoder_layer(params: dict, prefix: str, x):
     """Single-head post-norm transformer layer over the second-to-last axis."""
     d = x.shape[-1]
     q = x @ params[f"{prefix}.wq.w"] + params[f"{prefix}.wq.b"]
@@ -89,13 +93,13 @@ def _encoder_layer(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     att = ad.softmax(scores, axis=-1)
     heads = (att @ v) @ params[f"{prefix}.wo.w"] + params[f"{prefix}.wo.b"]
     x = ad.layer_norm(x + heads, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    ff = (x @ params[f"{prefix}.ff1.w"] + params[f"{prefix}.ff1.b"]).tanh()
+    ff = ad.tanh(x @ params[f"{prefix}.ff1.w"] + params[f"{prefix}.ff1.b"])
     ff = ff @ params[f"{prefix}.ff2.w"] + params[f"{prefix}.ff2.b"]
     return ad.layer_norm(x + ff, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
 
 
-def _mlp(params: dict[str, Tensor], head: str, x: Tensor) -> Tensor:
-    h = (x @ params[f"{head}.h1.w"] + params[f"{head}.h1.b"]).tanh()
+def _mlp(params: dict, head: str, x):
+    h = ad.tanh(x @ params[f"{head}.h1.w"] + params[f"{head}.h1.b"])
     return h @ params[f"{head}.h2.w"] + params[f"{head}.h2.b"]
 
 
@@ -139,12 +143,11 @@ class ObservationBatch:
         return first, inverse.ravel()
 
 
-def _encode_windows(params: dict[str, Tensor], features: np.ndarray,
-                    kinds: np.ndarray) -> Tensor:
+def _encode_windows(params: dict, features: np.ndarray, kinds: np.ndarray):
     """Stage 1: job windows (..., S, 4) with slot kinds (..., S) to pooled
     embeddings (..., d)."""
     *lead, s, _ = features.shape
-    x = Tensor(features) @ params["proj.w"] + params["proj.b"]
+    x = features @ params["proj.w"] + params["proj.b"]
     real = (kinds == SLOT_REAL)[..., None].astype(np.float64)
     source = (kinds == SLOT_SOURCE)[..., None].astype(np.float64)
     sink = (kinds == SLOT_SINK)[..., None].astype(np.float64)
@@ -156,16 +159,17 @@ def _encode_windows(params: dict[str, Tensor], features: np.ndarray,
     return x.mean(axis=1).reshape(*lead, -1)
 
 
-def forward_logits(params: dict[str, Tensor], batch: ObservationBatch) -> Tensor:
+def forward_logits(params: dict, batch: ObservationBatch):
     """Masked action logits, shape (B, J + 1); masked entries are -inf.
 
-    Without a recorded graph, a batch of several observations runs stage 1
-    once per distinct job window and gathers the embeddings back; windows
-    are encoded independently, so the logits are byte-equal either way.
-    With a graph, stage 1 runs on every window, so the backward pass
-    accumulates each window's gradient in batch order, as a full pass does."""
+    ``Tensor`` weights give a ``Tensor`` with the graph; plain array weights
+    (``{k: p.data}``) give the ndarray of the same operations. On arrays, a
+    batch of several observations runs stage 1 once per distinct job window
+    and gathers the embeddings back; windows are encoded independently, so
+    the logits are byte-equal either way. On Tensors stage 1 runs on every
+    window, so backward accumulates each window's gradient in batch order."""
     b, j, s, _ = batch.features.shape
-    if b > 1 and not ad.grad_enabled():
+    if b > 1 and not isinstance(params["proj.w"], Tensor):
         first, inverse = batch.distinct_windows
         windows = _encode_windows(
             params,
@@ -184,8 +188,9 @@ def forward_logits(params: dict[str, Tensor], batch: ObservationBatch) -> Tensor
     return logits + offset
 
 
-def action_log_probs(params: dict[str, Tensor], batch: ObservationBatch, actions) -> Tensor:
-    """Log probability of each chosen action under the masked policy."""
+def action_log_probs(params: dict, batch: ObservationBatch, actions):
+    """Log probability of each chosen action under the masked policy; a
+    ``Tensor`` on ``Tensor`` weights, an ndarray on array weights."""
     logp = ad.log_softmax(forward_logits(params, batch), axis=1)
     rows = np.arange(batch.features.shape[0])
     return logp[rows, np.asarray(actions)]
@@ -252,11 +257,10 @@ class Adam:
 
 
 def forward(params: dict[str, Tensor], observation: Observation) -> np.ndarray:
-    """Masked logit vector (length job_count + 1) for one observation;
-    records no autodiff graph."""
+    """Masked logit vector (length job_count + 1) for one observation, from
+    the current parameter values as plain arrays; builds no ``Tensor``."""
     batch = ObservationBatch.from_observations([observation])
-    with ad.no_grad():
-        return forward_logits(params, batch).data[0]
+    return forward_logits({k: p.data for k, p in params.items()}, batch)[0]
 
 
 # -- persistence ---------------------------------------------------------
@@ -286,9 +290,10 @@ def save_params(params: dict[str, Tensor], path: str | Path,
 
 
 def load_params(path: str | Path) -> tuple[dict[str, Tensor], PolicyConfig]:
+    """Read a checkpoint; a malformed one raises ``ValueError`` naming ``path``."""
     raw = Path(path).read_bytes()
     head, _, rest = raw.partition(b"end\n")
-    lines = head.decode().splitlines()
+    lines = head.decode(errors="replace").splitlines()
     if not lines or not lines[0].startswith(_MAGIC):
         raise ValueError(f"{path}: not a policy checkpoint")
     version = lines[0].split()[-1]
@@ -296,14 +301,21 @@ def load_params(path: str | Path) -> tuple[dict[str, Tensor], PolicyConfig]:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     config = PolicyConfig()
     shapes: list[tuple[str, tuple[int, ...]]] = []
-    for line in lines[1:]:
-        fields = line.split()
-        if fields[0] == "config":
-            config = PolicyConfig(**json.loads(line.split(" ", 1)[1]))
-        elif fields[0] == "param":
-            shapes.append((fields[1], tuple(int(d) for d in fields[2:])))
-        else:
-            raise ValueError(f"{path}: unexpected header line {line!r}")
+    try:
+        for line in lines[1:]:
+            kind, _, value = line.partition(" ")
+            if kind == "config":
+                config = PolicyConfig(**json.loads(value))
+            elif kind == "param":
+                name, *dims = value.split()
+                shapes.append((name, tuple(int(d) for d in dims)))
+            else:
+                raise ValueError(f"unexpected header line {line!r}")
+        built = [(k, p.shape) for k, p in init_params(config).items()]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header: {exc}") from None
+    if shapes != built:
+        raise ValueError(f"{path}: parameter names or shapes differ from what {config} builds")
     flat = np.frombuffer(rest, dtype="<f8")
     expected = sum(int(np.prod(s, dtype=np.int64)) if s else 1 for _, s in shapes)
     if flat.size != expected:

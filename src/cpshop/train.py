@@ -139,12 +139,12 @@ def sample_episodes(
     next_ops: int,
 ) -> list[Rollout]:
     """One recorded temperature-1 episode per generator, with the actors in
-    lockstep and one graph-free forward pass per decision round."""
+    lockstep and one forward pass per decision round on the current
+    parameter values as plain arrays."""
 
     def logits_of(observations: list[Observation]) -> np.ndarray:
-        with ad.no_grad():
-            batch = ObservationBatch.from_observations(observations)
-            return forward_logits(policy.params, batch).data
+        batch = ObservationBatch.from_observations(observations)
+        return forward_logits({k: p.data for k, p in policy.params.items()}, batch)
 
     envs = [JobShopEnv(instance, horizon=horizon, next_ops=next_ops) for _ in rngs]
     return sample_lockstep(envs, logits_of, rngs, [1.0] * len(rngs), record=True)
@@ -320,9 +320,9 @@ def _surrogate_update_loop(
     old_probs = []
     old_terms = []  # p_old * log p_old, constant over the wave
     old_logp_actions = []
+    old = {k: p.data for k, p in params.items()}
     for batch, actions, _ in samples.groups:
-        with ad.no_grad():
-            probs = masked_softmax(forward_logits(params, batch).data, batch.masks)
+        probs = masked_softmax(forward_logits(old, batch), batch.masks)
         old_probs.append(probs)
         old_terms.append(probs * np.log(np.maximum(probs, 1e-300)))
         # np.log of each positive probability; the masked log-softmax where
@@ -331,8 +331,7 @@ def _surrogate_update_loop(
         logp = np.log(taken, where=taken > 0, out=np.zeros_like(taken))
         under = taken == 0
         if under.any():
-            with ad.no_grad():
-                logp[under] = action_log_probs(params, batch.take(under), actions[under]).data
+            logp[under] = action_log_probs(old, batch.take(under), actions[under])
         old_logp_actions.append(logp)
     sizes = [len(a) for _, a, _ in samples.groups]
     offsets = np.cumsum([0] + sizes)
@@ -370,9 +369,9 @@ def _surrogate_update_loop(
         stats.applied_updates += 1
         # mean KL(pi_old || pi_new) over the whole wave
         kl_total = 0.0
+        new = {k: p.data for k, p in params.items()}  # Adam.step rebound .data
         for g, (batch, _, _) in enumerate(samples.groups):
-            with ad.no_grad():
-                new_probs = masked_softmax(forward_logits(params, batch).data, batch.masks)
+            new_probs = masked_softmax(forward_logits(new, batch), batch.masks)
             new_logp = np.log(np.maximum(new_probs, 1e-300))
             kl_total += (old_terms[g] - old_probs[g] * new_logp).sum()
         stats.final_kl = kl_total / total

@@ -132,6 +132,40 @@ def test_solve_missing_checkpoint_is_data_error(tmp_path, capsys):
     code = main(["solve", "--instance", str(path), "--method", "policy:/no/such.ckpt"])
     assert code == EXIT_DATA
     assert "checkpoint not found" in capsys.readouterr().err
+    code = main(["solve", "--instance", str(path), "--method", f"policy:{tmp_path}"])
+    assert code == EXIT_DATA  # a directory is no checkpoint either
+    assert "checkpoint not found" in capsys.readouterr().err
+
+
+def _spoil_header(raw, old, new):
+    head, _, payload = raw.partition(b"end\n")
+    assert old in head
+    return head.replace(old, new, 1) + b"end\n" + payload
+
+
+BAD_CHECKPOINTS = {
+    "junk": lambda raw: b"not a checkpoint\n",
+    "empty": lambda raw: b"",
+    "blank_header_line": lambda raw: _spoil_header(raw, b"\nparam", b"\n\nparam"),
+    "truncated_payload": lambda raw: raw[:-16],
+    "renamed_parameter": lambda raw: _spoil_header(raw, b"param tok.sink", b"param tok.sunk"),
+    "zero_width_config": lambda raw: _spoil_header(raw, b'"d_model": 8', b'"d_model": 0'),
+}
+
+
+@pytest.mark.parametrize("kind", ["policy", "ensemble"])
+@pytest.mark.parametrize("spoil", sorted(BAD_CHECKPOINTS))
+def test_solve_bad_checkpoint_is_data_error(tmp_path, capsys, spoil, kind):
+    ipath = tmp_path / "inst.txt"
+    write_instance(generate_instance(3, 3, seed=12), ipath, "taillard")
+    ckpt = tmp_path / "bad.ckpt"
+    save_params(init_params(seed=0), ckpt, PolicyConfig())
+    ckpt.write_bytes(BAD_CHECKPOINTS[spoil](ckpt.read_bytes()))
+    code = main(["solve", "--instance", str(ipath), "--method", f"{kind}:{ckpt}"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(ckpt) in err
+    assert "Traceback" not in err
 
 
 def test_solve_with_policy_and_ensemble(tmp_path, capsys):

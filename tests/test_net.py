@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import cpshop.net
-from cpshop.autodiff import no_grad
 from cpshop.env import JobShopEnv
 from cpshop.expert import ExpertConfig
 from cpshop.instances import generate_instance
@@ -83,17 +82,31 @@ def test_batch_matches_single_forward():
         np.testing.assert_allclose(row, forward(params, obs), rtol=1e-12, atol=1e-12)
 
 
+def arrays_of(params):
+    return {k: p.data for k, p in params.items()}
+
+
 def test_forward_logits_bitwise_equal_without_graph():
     params = init_params(seed=3)
     observations = observations_for(seed=8, count=5)
     batch = ObservationBatch.from_observations(observations)
     with_graph = forward_logits(params, batch)
-    with no_grad():
-        without = forward_logits(params, batch)
-    assert with_graph.requires_grad and not without.requires_grad
-    assert without.data.tobytes() == with_graph.data.tobytes()
+    without = forward_logits(arrays_of(params), batch)
+    assert with_graph.requires_grad and type(without) is np.ndarray
+    assert without.tobytes() == with_graph.data.tobytes()
     single = ObservationBatch.from_observations(observations[:1])
     assert forward(params, observations[0]).tobytes() == forward_logits(params, single).data[0].tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [1, 8])
+@pytest.mark.parametrize("size", [(3, 3), (15, 15), (50, 20), (100, 20)])
+def test_array_weights_give_the_tensor_pass_bytes(size, batch_size):
+    observations = observations_for(seed=size[0], count=batch_size, jobs=size[0], machines=size[1])
+    batch = ObservationBatch.from_observations(observations)
+    params = init_params(seed=6)
+    logits = forward_logits(arrays_of(params), batch)
+    assert type(logits) is np.ndarray and logits.shape == (batch_size, size[0] + 1)
+    assert logits.tobytes() == forward_logits(params, batch).data.tobytes()
 
 
 def wave_batch():
@@ -132,8 +145,7 @@ def test_distinct_window_forward_is_byte_equal(make_batch):
     windows = batch.features.reshape(b * j, -1)
     assert windows[first][inverse].tobytes() == windows.tobytes()
     assert len(first) < b * j  # windows repeat, so the index saves work
-    with no_grad():
-        without = forward_logits(params, batch).data
+    without = forward_logits(arrays_of(params), batch)
     assert without.tobytes() == forward_logits(params, batch).data.tobytes()
     if make_batch is repeated_batch:
         assert len(first) == j
@@ -162,8 +174,7 @@ def test_stage_one_encodes_distinct_windows_only_without_graph(monkeypatch):
     params = init_params(seed=0)
     batch = repeated_batch(copies=50)
     b, j = batch.features.shape[:2]
-    with no_grad():
-        forward_logits(params, batch)
+    forward_logits(arrays_of(params), batch)
     forward_logits(params, batch)
     assert seen == [j, b * j]
 

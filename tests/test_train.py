@@ -11,6 +11,7 @@ from cpshop.net import (
     NetPolicy,
     ObservationBatch,
     PolicyConfig,
+    Tensor,
     action_log_probs,
     forward,
     init_params,
@@ -207,6 +208,23 @@ def test_lockstep_sampling_equals_one_actor_at_a_time(jobs, machines):
         assert_same_episode(episode, run)
         assert run.solution == episode.solution
     assert len({len(ep.actions) for ep in together}) > 1  # actors finish in different rounds
+
+
+def test_inference_builds_no_tensor(monkeypatch):
+    inst = generate_instance(5, 4, seed=3)
+    policy = NetPolicy(init_params(seed=0))
+    built = []
+    original = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    rollout(inst, policy)
+    assert built == []
+    episodes = sample_episodes(inst, policy, [np.random.default_rng(s) for s in (1, 2)], 10, 3)
+    assert built == [] and all(ep.actions for ep in episodes)
 
 
 def test_generate_demos_batches_one_forward_per_decision_round(monkeypatch):
