@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+LAYER_NORM_EPS = 1e-5
+
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to ``shape``, undoing numpy broadcasting."""
@@ -290,9 +292,9 @@ def log_softmax(t, axis: int = -1):
     return _node(out, (t,), back)
 
 
-def layer_norm(t, gamma, beta, eps: float = 1e-5):
+def layer_norm(t, gamma, beta):
     """Normalize the last axis to zero mean and unit variance, then scale."""
     mu = t.mean(axis=-1, keepdims=True)
     centered = t - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / sqrt(var + eps) * gamma + beta
+    return centered / sqrt(var + LAYER_NORM_EPS) * gamma + beta

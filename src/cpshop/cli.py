@@ -16,7 +16,6 @@ import csv
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,40 +51,15 @@ class DataError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    dataset: str
-    instance: str
-    method: str
-    seed: int
-    makespan: int
-    runtime_s: float
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
-
-    def summary(self) -> list[tuple[str, float, float]]:
-        """Per-method mean and standard deviation over all rows."""
-        by_method: dict[str, list[int]] = {}
-        for row in self.rows:
-            by_method.setdefault(row.method, []).append(row.makespan)
-        return [
-            (method, float(np.mean(vals)), float(np.std(vals)))
-            for method, vals in sorted(by_method.items())
-        ]
-
-
 def _load_method(spec: str, actor_count: int):
-    """Resolve a method string into a (name, solve(instance, seed)) pair."""
+    """Resolve a method string into a ``solve(instance, seed)`` callable."""
     if spec in RULES:
         policy = RulePolicy(spec)
 
         def solve(instance: Instance, seed: int):
             return greedy_rollout(instance, policy)
 
-        return spec, solve
+        return solve
     if spec.startswith("policy:") or spec.startswith("ensemble:"):
         kind, _, ckpt = spec.partition(":")
         path = Path(ckpt)
@@ -109,7 +83,7 @@ def _load_method(spec: str, actor_count: int):
                     next_ops=net_config.next_ops,
                 ).solution
 
-        return spec, solve
+        return solve
     raise UsageError(
         f"unknown method {spec!r}: expected one of {', '.join(RULES)}, "
         "policy:<checkpoint>, or ensemble:<checkpoint>"
@@ -128,7 +102,7 @@ def cmd_bench(args) -> int:
     if not methods:
         raise UsageError("no methods given")
     seeds = _parse_seeds(args.seeds)
-    solvers = [_load_method(m, args.actors) for m in methods]
+    solvers = [(m, _load_method(m, args.actors)) for m in methods]
     rows = []
     for instance in instances:
         for name, solve in solvers:
@@ -143,26 +117,21 @@ def cmd_bench(args) -> int:
                         f"{instance.name}: {report.violation}"
                     )
                 rows.append(
-                    BenchRow(
-                        dataset=directory.name,
-                        instance=instance.name,
-                        method=name,
-                        seed=seed,
-                        makespan=solution.makespan,
-                        runtime_s=round(dt, 6),
-                    )
+                    (directory.name, instance.name, name, seed, solution.makespan, round(dt, 6))
                 )
-    report = BenchReport(rows=tuple(rows))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["dataset", "instance", "method", "seed", "makespan", "runtime_s"])
-            for row in rows:
-                writer.writerow(
-                    [row.dataset, row.instance, row.method, row.seed, row.makespan, row.runtime_s]
-                )
-    for method, mean, std in report.summary():
-        print(f"summary {directory.name} {method} mean {mean:.2f} std {std:.2f}")
+            writer.writerows(rows)
+    by_method: dict[str, list[int]] = {}
+    for _, _, method, _, makespan, _ in rows:
+        by_method.setdefault(method, []).append(makespan)
+    for method, makespans in sorted(by_method.items()):
+        print(
+            f"summary {directory.name} {method} "
+            f"mean {np.mean(makespans):.2f} std {np.std(makespans):.2f}"
+        )
     return EXIT_OK
 
 
@@ -187,7 +156,7 @@ def cmd_solve(args) -> int:
         status = "certified optimum" if result.certified else "best found"
         print(f"{instance.name}: makespan {solution.makespan} ({status}) in {dt:.3f}s")
     else:
-        _, solve = _load_method(args.method, args.actors)
+        solve = _load_method(args.method, args.actors)
         t0 = time.perf_counter()
         solution = solve(instance, args.seed)
         dt = time.perf_counter() - t0
@@ -374,7 +343,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, InstanceFormatError, FileNotFoundError, NotADirectoryError) as exc:
+    except (DataError, InstanceFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception:

@@ -258,10 +258,12 @@ def read_solution(path: str | Path):
     for lineno, fields in _tokens(text):
         if fields[0] == "instance":
             name = " ".join(fields[1:])
+        elif fields[0] in ("makespan", "job") and len(fields) == 1:
+            raise InstanceFormatError(f"line {lineno}: {fields[0]} record has no value")
         elif fields[0] == "makespan":
-            makespan = int(fields[1])
+            (makespan,) = _ints(fields[1:2], lineno)
         elif fields[0] == "job":
-            idx = int(fields[1].rstrip(":"))
+            (idx,) = _ints([fields[1].rstrip(":")], lineno)
             if idx != len(rows):
                 raise InstanceFormatError(f"line {lineno}: job lines out of order")
             rows.append(tuple(_ints(fields[2:], lineno)))

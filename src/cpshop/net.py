@@ -28,6 +28,7 @@ from cpshop.autodiff import Tensor
 from cpshop.env import F_LB, F_LENGTH, Observation, SLOT_REAL, SLOT_SINK, SLOT_SOURCE
 
 CHECKPOINT_VERSION = 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -213,13 +214,9 @@ class NetPolicy:
 class Adam:
     """Adam over a named parameter dictionary."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
@@ -234,11 +231,11 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1**self.t)
-            v_hat = self.v[name] / (1 - self.beta2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[name] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[name] / (1 - ADAM_BETA2**self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def state(self) -> dict[str, np.ndarray]:
         """Flat named arrays: the step count ``t`` and the moments

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -278,36 +278,25 @@ def rollout_solution_of(episode: Rollout, instance: Instance) -> Solution:
 # -- surrogate updates ---------------------------------------------------
 
 
-@dataclass
-class _SampleSet:
-    """Training samples grouped by job count for batched evaluation."""
-
-    groups: list[tuple[ObservationBatch, np.ndarray, np.ndarray]] = field(default_factory=list)
-    # per group: (batch, actions, advantages)
-
-    @property
-    def size(self) -> int:
-        return sum(len(a) for _, a, _ in self.groups)
-
-
-def _group_samples(samples: list[tuple[Observation, int, float]]) -> _SampleSet:
+def _group_samples(
+    samples: list[tuple[Observation, int, float]],
+) -> list[tuple[ObservationBatch, np.ndarray, np.ndarray]]:
+    """One ``(batch, actions, advantages)`` triple per job count, in increasing order."""
     by_jc: dict[int, list[tuple[Observation, int, float]]] = {}
     for obs, action, adv in samples:
         by_jc.setdefault(obs.job_count, []).append((obs, action, adv))
-    out = _SampleSet()
+    groups = []
     for jc in sorted(by_jc):
         rows = by_jc[jc]
         batch = ObservationBatch.from_observations([r[0] for r in rows])
-        out.groups.append(
-            (batch, np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))
-        )
-    return out
+        groups.append((batch, np.array([r[1] for r in rows]), np.array([r[2] for r in rows])))
+    return groups
 
 
 def _surrogate_update_loop(
     params: dict[str, Tensor],
     optimizer: Adam,
-    samples: _SampleSet,
+    groups: list[tuple[ObservationBatch, np.ndarray, np.ndarray]],
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> WaveStats:
@@ -316,12 +305,15 @@ def _surrogate_update_loop(
     The violating update stays applied; the loop just stops afterwards,
     so the number of applied updates never exceeds ``max_updates``.
     """
-    stats = WaveStats(samples=samples.size)
+    sizes = [len(a) for _, a, _ in groups]
+    offsets = np.cumsum([0] + sizes)
+    total = sum(sizes)
+    stats = WaveStats(samples=total)
     old_probs = []
     old_terms = []  # p_old * log p_old, constant over the wave
     old_logp_actions = []
     old = {k: p.data for k, p in params.items()}
-    for batch, actions, _ in samples.groups:
+    for batch, actions, _ in groups:
         probs = masked_softmax(forward_logits(old, batch), batch.masks)
         old_probs.append(probs)
         old_terms.append(probs * np.log(np.maximum(probs, 1e-300)))
@@ -333,9 +325,6 @@ def _surrogate_update_loop(
         if under.any():
             logp[under] = action_log_probs(old, batch.take(under), actions[under])
         old_logp_actions.append(logp)
-    sizes = [len(a) for _, a, _ in samples.groups]
-    offsets = np.cumsum([0] + sizes)
-    total = samples.size
     for _ in range(config.max_updates):
         if config.minibatch_size is None or config.minibatch_size >= total:
             chosen = np.arange(total)
@@ -345,7 +334,7 @@ def _surrogate_update_loop(
         picked[chosen] = True
         losses = []
         optimizer.zero_grad()
-        for g, (batch, actions, advs) in enumerate(samples.groups):
+        for g, (batch, actions, advs) in enumerate(groups):
             sel = picked[offsets[g] : offsets[g + 1]]
             if not sel.any():
                 continue
@@ -362,7 +351,7 @@ def _surrogate_update_loop(
         if not np.isfinite(loss.data):
             raise RuntimeError(
                 f"non-finite surrogate loss after {stats.applied_updates} updates "
-                f"(samples={samples.size})"
+                f"(samples={total})"
             )
         loss.backward()
         optimizer.step()
@@ -370,7 +359,7 @@ def _surrogate_update_loop(
         # mean KL(pi_old || pi_new) over the whole wave
         kl_total = 0.0
         new = {k: p.data for k, p in params.items()}  # Adam.step rebound .data
-        for g, (batch, _, _) in enumerate(samples.groups):
+        for g, (batch, _, _) in enumerate(groups):
             new_probs = masked_softmax(forward_logits(new, batch), batch.masks)
             new_logp = np.log(np.maximum(new_probs, 1e-300))
             kl_total += (old_terms[g] - old_probs[g] * new_logp).sum()

@@ -288,6 +288,59 @@ def test_compress_rejects_infeasible_input(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+# -- unreadable input files --------------------------------------------
+
+
+# {inst} is an instance file, {sol} a solution file holding the given text,
+# {dir} an empty directory, {raw} a non-UTF-8 file alone in {rawdir}, and
+# {run} an output directory that must not be created
+@pytest.mark.parametrize("argv, solution_text, fragment", [
+    pytest.param(["compress", "--instance", "{inst}", "--in", "{sol}"],
+                 "instance x\nmakespan abc\njob 0: 0\n", "line 2",
+                 id="solution-makespan-not-int"),
+    pytest.param(["compress", "--instance", "{inst}", "--in", "{sol}"],
+                 "instance x\nmakespan\njob 0: 0\n", "line 2", id="solution-bare-makespan"),
+    pytest.param(["compress", "--instance", "{inst}", "--in", "{sol}"],
+                 "instance x\nmakespan 5\njob a: 1 2\n", "line 3", id="solution-job-not-int"),
+    pytest.param(["solve", "--instance", "{dir}"], None, "Is a directory",
+                 id="solve-instance-dir"),
+    pytest.param(["compress", "--instance", "{inst}", "--in", "{dir}"], None, "Is a directory",
+                 id="compress-in-dir"),
+    pytest.param(["solve", "--instance", "{inst}", "--out", "{dir}"], None, "Is a directory",
+                 id="solve-out-dir"),
+    pytest.param(["train", "--instances", "{inst}", "--config", "{dir}", "--out", "{run}"],
+                 None, "Is a directory", id="train-config-dir"),
+    pytest.param(["train", "--instances", "{dir}", "--out", "{run}"], None, "Is a directory",
+                 id="train-instances-dir"),
+    pytest.param(["solve", "--instance", "{raw}"], None, "can't decode", id="instance-not-utf8"),
+    pytest.param(["train", "--instances", "{inst}", "--config", "{raw}", "--out", "{run}"],
+                 None, "can't decode", id="config-not-utf8"),
+    pytest.param(["bench", "--dir", "{rawdir}"], None, "can't decode", id="bench-dir-not-utf8"),
+])
+def test_unreadable_input_file_is_data_error(
+    instance_dir, tmp_path, capsys, argv, solution_text, fragment
+):
+    paths = {
+        "inst": next(instance_dir.iterdir()),
+        "sol": tmp_path / "sol.txt",
+        "dir": tmp_path / "adir",
+        "rawdir": tmp_path / "undecodable",
+        "raw": tmp_path / "undecodable" / "raw.txt",
+        "run": tmp_path / "run",
+    }
+    paths["dir"].mkdir()
+    paths["rawdir"].mkdir()
+    paths["raw"].write_bytes(b"3 3\n\xff\xfe\n")
+    if solution_text is not None:
+        paths["sol"].write_text(solution_text)
+    code = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("data error: ") and fragment in err
+    assert "Traceback" not in err
+    assert not paths["run"].exists()
+
+
 # -- train config ------------------------------------------------------
 
 
