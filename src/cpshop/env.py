@@ -18,13 +18,14 @@ observation and the action mask are derived together from one
 computation of the current start lower bounds, and cached until the
 next transition.
 
-Rewards are episodic: the terminal step carries ``-makespan``.
+There is no per-step reward: an episode ends when ``done`` turns true,
+and its schedule and makespan are read from ``solution()``.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +73,7 @@ class Observation:
 @dataclass(frozen=True)
 class StepResult:
     observation: Observation
-    done: bool
-    reward: float | None
-    makespan: int | None
-    applied_actions: tuple[int, ...] = field(default_factory=tuple)
+    applied_actions: tuple[int, ...]
 
 
 class JobShopEnv:
@@ -194,15 +192,7 @@ class JobShopEnv:
     def _result(self, applied: tuple[int, ...]) -> StepResult:
         """Settle the decision state after a transition and report it."""
         self._settle()
-        model = self._require_model()
-        makespan = model.solution().makespan if model.complete else None
-        return StepResult(
-            observation=self._obs,
-            done=makespan is not None,
-            reward=None if makespan is None else -float(makespan),
-            makespan=makespan,
-            applied_actions=applied,
-        )
+        return StepResult(observation=self._obs, applied_actions=applied)
 
     def step(self, action: int) -> StepResult:
         """Apply one action: a job index dispatches that job, the index

@@ -25,7 +25,8 @@ FORMATS = ("orlib", "taillard")
 
 
 class InstanceFormatError(ValueError):
-    """Raised for malformed instance files; message carries the line number."""
+    """Raised for malformed instance files; message carries the line number,
+    and the file name when a file was read."""
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,11 @@ def _parse_taillard_body(
 def parse_instance(path: str | Path, fmt: str) -> Instance:
     """Parse an instance file in the given format ('orlib' or 'taillard')."""
     path = Path(path)
-    return parse_instance_text(path.read_text(), fmt, name=path.stem)
+    text = path.read_text()
+    try:
+        return parse_instance_text(text, fmt, name=path.stem)
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from None
 
 
 def serialize_instance(instance: Instance, fmt: str) -> str:
@@ -255,20 +260,23 @@ def read_solution(path: str | Path):
     name = None
     makespan = None
     rows: list[tuple[int, ...]] = []
-    for lineno, fields in _tokens(text):
-        if fields[0] == "instance":
-            name = " ".join(fields[1:])
-        elif fields[0] in ("makespan", "job") and len(fields) == 1:
-            raise InstanceFormatError(f"line {lineno}: {fields[0]} record has no value")
-        elif fields[0] == "makespan":
-            (makespan,) = _ints(fields[1:2], lineno)
-        elif fields[0] == "job":
-            (idx,) = _ints([fields[1].rstrip(":")], lineno)
-            if idx != len(rows):
-                raise InstanceFormatError(f"line {lineno}: job lines out of order")
-            rows.append(tuple(_ints(fields[2:], lineno)))
-        else:
-            raise InstanceFormatError(f"line {lineno}: unexpected record {fields[0]!r}")
-    if name is None or makespan is None or not rows:
-        raise InstanceFormatError("solution document missing instance, makespan, or job lines")
+    try:
+        for lineno, fields in _tokens(text):
+            if fields[0] == "instance":
+                name = " ".join(fields[1:])
+            elif fields[0] in ("makespan", "job") and len(fields) == 1:
+                raise InstanceFormatError(f"line {lineno}: {fields[0]} record has no value")
+            elif fields[0] == "makespan":
+                (makespan,) = _ints(fields[1:2], lineno)
+            elif fields[0] == "job":
+                (idx,) = _ints([fields[1].rstrip(":")], lineno)
+                if idx != len(rows):
+                    raise InstanceFormatError(f"line {lineno}: job lines out of order")
+                rows.append(tuple(_ints(fields[2:], lineno)))
+            else:
+                raise InstanceFormatError(f"line {lineno}: unexpected record {fields[0]!r}")
+        if name is None or makespan is None or not rows:
+            raise InstanceFormatError("solution document missing instance, makespan, or job lines")
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from None
     return Solution(instance_name=name, starts=tuple(rows), makespan=makespan)

@@ -87,10 +87,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         if self.next_ops < 0:
             raise ValueError("next_ops must be >= 0")
+        if self.horizon <= self.next_ops:
+            raise ValueError(
+                f"horizon {self.horizon} must exceed next_ops {self.next_ops}: every larger "
+                "horizon gives the same observations, and a checkpoint records next_ops only"
+            )
         if not 0 < self.clip_eps < 1:
             raise ValueError("clip_eps must be in (0, 1)")
         if self.kl_limit <= 0:
@@ -344,10 +347,7 @@ def _surrogate_update_loop(
             unclipped = (-adv) * ratio
             clipped = (-adv) * ad.clip(ratio, 1 - config.clip_eps, 1 + config.clip_eps)
             losses.append(ad.maximum(unclipped, clipped).sum())
-        loss = losses[0] if len(losses) == 1 else ad.concat(
-            [l.reshape(1) for l in losses]
-        ).sum()
-        loss = loss / float(picked.sum())
+        loss = ad.concat([l.reshape(1) for l in losses]).sum() / float(picked.sum())
         if not np.isfinite(loss.data):
             raise RuntimeError(
                 f"non-finite surrogate loss after {stats.applied_updates} updates "
@@ -455,18 +455,23 @@ def train_loop(
     instances: list[Instance],
     config: TrainConfig,
     out_dir: str | Path | None = None,
-    params: dict[str, Tensor] | None = None,
     resume_epoch: int = 0,
 ) -> TrainResult:
     """Run epochs of demo generation and surrogate updates.
 
     Each epoch writes a checkpoint plus optimizer and metric state under
-    ``out_dir``; restarting from ``resume_epoch`` with the same seed
-    continues exactly where the interrupted run stopped, and leaves the
-    same checkpoints, best epoch and metric rows as an uninterrupted run.
+    ``out_dir``. ``resume_epoch=k`` continues the run in ``out_dir`` from
+    its epoch-k checkpoint, optimizer state, metric rows and best
+    checkpoint, and leaves the same checkpoints, best epoch and metric
+    rows as an uninterrupted run. If no epoch has run, the greedy mean of
+    the parameters held is reported.
     """
     if not instances:
         raise ValueError("train_loop needs at least one instance")
+    if not 0 <= resume_epoch <= config.epochs:
+        raise ValueError(f"resume_epoch must be in [0, {config.epochs}], got {resume_epoch}")
+    if resume_epoch > 0 and out_dir is None:
+        raise ValueError("resume_epoch > 0 needs the out_dir of the run it resumes")
     op_counts = {inst.total_operations for inst in instances}
     if max(op_counts) > 2 * min(op_counts):
         warnings.warn(
@@ -475,39 +480,22 @@ def train_loop(
             stacklevel=2,
         )
     net_config = PolicyConfig(next_ops=config.next_ops)
-    if params is None:
-        params = init_params(net_config, seed=config.seed)
-    optimizer = Adam(params, lr=config.lr)
     out = Path(out_dir) if out_dir is not None else None
     metrics: list[dict] = []
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        if resume_epoch == 0:
+    best_epoch, best_mean, best_params = 0, np.inf, None
+    if resume_epoch == 0:
+        params = init_params(net_config, seed=config.seed)
+        optimizer = Adam(params, lr=config.lr)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
             save_params(params, out / "epoch_000.ckpt", net_config)
-
-    best_epoch = 0
-    best_mean = np.inf
-    best_params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
-
-    def greedy_means() -> list[int]:
-        policy = NetPolicy(params, net_config)
-        return [
-            rollout(inst, policy, horizon=config.horizon, next_ops=config.next_ops).makespan
-            for inst in instances
-        ]
-
-    if config.epochs == 0 or resume_epoch >= config.epochs:
-        vals = greedy_means()
-        return TrainResult(
-            params=params,
-            metrics=metrics,
-            best_epoch=0,
-            best_greedy_mean=float(np.mean(vals)),
-            best_params=best_params,
-        )
-
-    if out is not None and resume_epoch > 0:
-        # the interrupted run's optimizer state, metric rows and best epoch
+    else:
+        # every piece of the interrupted run's state comes from its directory
+        path = out / f"epoch_{resume_epoch:03d}.ckpt"
+        params, saved_config = load_params(path)
+        if saved_config != net_config:
+            raise ValueError(f"{path}: checkpoint has {saved_config}, the config needs {net_config}")
+        optimizer = Adam(params, lr=config.lr)
         with np.load(out / f"optimizer_{resume_epoch:03d}.npz", allow_pickle=False) as data:
             optimizer.load_state(data)
         metrics = [r for r in read_metrics(out / "metrics.csv") if r["epoch"] <= resume_epoch]
@@ -516,6 +504,16 @@ def train_loop(
             if mean_greedy < best_mean:
                 best_mean, best_epoch = mean_greedy, epoch
         best_params, _ = load_params(out / "best.ckpt")
+
+    def greedy_means() -> list[int]:
+        policy = NetPolicy(params, net_config)
+        return [
+            rollout(inst, policy, horizon=config.horizon, next_ops=config.next_ops).makespan
+            for inst in instances
+        ]
+
+    def snapshot() -> dict[str, Tensor]:
+        return {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
 
     for epoch in range(resume_epoch + 1, config.epochs + 1):
         t0 = time.monotonic()
@@ -553,16 +551,14 @@ def train_loop(
             )
         mean_greedy = float(np.mean(greedy))
         if mean_greedy < best_mean:
-            best_mean = mean_greedy
-            best_epoch = epoch
-            best_params = {
-                k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()
-            }
+            best_mean, best_epoch, best_params = mean_greedy, epoch, snapshot()
         if out is not None:
             save_params(params, out / f"epoch_{epoch:03d}.ckpt", net_config)
             np.savez(out / f"optimizer_{epoch:03d}.npz", **optimizer.state())
             save_params(best_params, out / "best.ckpt", net_config)
             write_metrics(metrics, out / "metrics.csv")
+    if best_params is None:  # no epoch has run: evaluate the parameters held
+        best_mean, best_params = float(np.mean(greedy_means())), snapshot()
     return TrainResult(
         params=params,
         metrics=metrics,

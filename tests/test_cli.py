@@ -341,6 +341,33 @@ def test_unreadable_input_file_is_data_error(
     assert not paths["run"].exists()
 
 
+# {inst} is a good instance file, {bad} a truncated one alone in {baddir},
+# {sol} a malformed solution file and {run} an output directory
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["compress", "--instance", "{inst}", "--in", "{sol}"], "sol", id="compress-in"),
+    pytest.param(["solve", "--instance", "{bad}"], "bad", id="solve-instance"),
+    pytest.param(["bench", "--dir", "{baddir}"], "bad", id="bench-dir"),
+    pytest.param(["train", "--instances", "{inst},{bad}", "--out", "{run}"], "bad",
+                 id="train-second-instance"),
+])
+def test_data_error_names_the_malformed_file(instance_dir, tmp_path, capsys, argv, named):
+    paths = {
+        "inst": next(instance_dir.iterdir()),
+        "baddir": tmp_path / "bad",
+        "bad": tmp_path / "bad" / "truncated.txt",
+        "sol": tmp_path / "bad-sol.txt",
+        "run": tmp_path / "run",
+    }
+    paths["baddir"].mkdir()
+    paths["bad"].write_text("2 2\n1 2\n")
+    paths["sol"].write_text("instance x\nmakespan abc\njob 0: 0\n")
+    code = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith(f"data error: {paths[named]}: ")
+    assert not paths["run"].exists()
+
+
 # -- train config ------------------------------------------------------
 
 
@@ -393,7 +420,8 @@ def test_parse_train_config_rejects_out_of_range_value_as_data_error(tmp_path):
 @pytest.mark.parametrize(
     "line",
     [
-        "eps = 2", "actors = 0", "minibatches = 0", "horizon = 0", "next_ops = -1", "epochs = -1",
+        "eps = 2", "actors = 0", "minibatches = 0", "horizon = 0", "horizon = 3", "next_ops = -1",
+        "epochs = -1",
         "lr = 0", "lr = -0.001", "expert_budget_start = -5",
         "epochs = 2\nexpert_budget_step = -5000",
     ],

@@ -75,7 +75,7 @@ def test_full_episode_walkthrough():
     env = tiny_env()
     env.reset()
     r = env.step(0)  # job 0 op 0 fixed at its bound 0
-    assert not r.done and r.reward is None and r.makespan is None
+    assert not env.done
     assert r.applied_actions == (0,)
     assert r.observation.t == 3  # job 1 still dispatchable, no refresh
 
@@ -91,11 +91,10 @@ def test_full_episode_walkthrough():
 
     env.step(0)
     r = env.step(1)
-    assert r.done
-    assert r.makespan == 6
-    assert r.reward == -6.0
+    assert env.done
     assert not r.observation.mask.any()
     sol = env.solution()
+    assert sol.makespan == 6
     assert sol.starts == ((0, 4), (0, 4))
     assert validate(env.instance, sol)
     assert is_compressed(env.instance, sol)
@@ -450,6 +449,31 @@ def test_window_equals_two_block_builder(horizon, next_ops):
             else:
                 obs = env.step(int(rng.choice(np.flatnonzero(obs.mask[:-1])))).observation
         assert validate(inst, env.solution())
+
+
+@pytest.mark.parametrize("next_ops", [0, 3])
+def test_every_horizon_above_next_ops_gives_the_same_observations(next_ops):
+    # why TrainConfig requires horizon > next_ops: a checkpoint records
+    # next_ops only, and is evaluated at some larger horizon
+    inst = generate_instance(8, 6, seed=77)
+    rng = np.random.default_rng(next_ops)
+    envs = [JobShopEnv(inst, horizon=h, next_ops=next_ops) for h in (next_ops + 1, 10, 50)]
+    observations = [env.reset() for env in envs]
+    while True:
+        for obs in observations[1:]:
+            assert obs.t == observations[0].t
+            assert obs.features.tobytes() == observations[0].features.tobytes()
+            assert obs.kinds.tobytes() == observations[0].kinds.tobytes()
+            assert obs.mask.tobytes() == observations[0].mask.tobytes()
+        if envs[0].done:
+            break
+        mask = observations[0].mask
+        if mask[-1] and rng.random() < 0.2:
+            action = envs[0].noop_action
+        else:
+            action = int(rng.choice(np.flatnonzero(mask[:-1])))
+        observations = [env.step(action).observation for env in envs]
+    assert all(env.done for env in envs)
 
 
 # -- schedule-level idle behavior --------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from cpshop.net import (
     action_log_probs,
     forward,
     init_params,
-    load_params,
 )
 from cpshop.rules import Rollout, RulePolicy, greedy_rollout, masked_softmax, rollout
 from cpshop.train import (
@@ -473,6 +474,10 @@ def test_initial_wave_skips_zero_slice():
 # -- training loop -----------------------------------------------------
 
 
+def untimed(rows):
+    return [{k: v for k, v in row.items() if k != "wall_s"} for row in rows]
+
+
 def tiny_loop_config(epochs):
     return TrainConfig(
         epochs=epochs,
@@ -509,20 +514,13 @@ def test_train_loop_writes_artifacts_and_resumes_bit_exact(tmp_path):
     assert len(full.metrics) == 2 * 2  # epochs x instances
 
     train_loop(insts, tiny_loop_config(1), out_dir=half_dir)
-    resumed_params, _ = load_params(half_dir / "epoch_001.ckpt")
-    resumed = train_loop(
-        insts, tiny_loop_config(2), out_dir=half_dir,
-        params=resumed_params, resume_epoch=1,
-    )
+    resumed = train_loop(insts, tiny_loop_config(2), out_dir=half_dir, resume_epoch=1)
     assert params_equal(full.params, clone(resumed.params))
     assert params_equal(full.best_params, clone(resumed.best_params))
     assert (resumed.best_epoch, resumed.best_greedy_mean) == (full.best_epoch, full.best_greedy_mean)
     # every artifact matches the uninterrupted run's, timings aside
     for name in ("epoch_000.ckpt", "epoch_001.ckpt", "epoch_002.ckpt", "best.ckpt"):
         assert (half_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
-
-    def untimed(rows):
-        return [{k: v for k, v in row.items() if k != "wall_s"} for row in rows]
 
     rows = read_metrics(half_dir / "metrics.csv")
     assert untimed(rows) == untimed(read_metrics(full_dir / "metrics.csv")) == untimed(full.metrics)
@@ -552,12 +550,35 @@ def test_train_loop_resumes_from_a_hand_written_optimizer_file(tmp_path):
     arrays.update({f"v/{k}": a for k, a in v.items()})
     path.unlink()
     np.savez(path, **arrays)
-    resumed_params, _ = load_params(half_dir / "epoch_001.ckpt")
-    resumed = train_loop(
-        insts, tiny_loop_config(2), out_dir=half_dir,
-        params=resumed_params, resume_epoch=1,
-    )
+    resumed = train_loop(insts, tiny_loop_config(2), out_dir=half_dir, resume_epoch=1)
     assert params_equal(full.params, clone(resumed.params))
+
+
+def test_train_loop_resume_needs_the_run_directory_and_an_epoch_in_range(tmp_path):
+    insts = [generate_instance(3, 3, seed=s) for s in (71, 72)]
+    with pytest.raises(ValueError, match="out_dir"):
+        train_loop(insts, tiny_loop_config(2), resume_epoch=1)
+    for epoch in (-1, 3):
+        with pytest.raises(ValueError, match="resume_epoch must be in"):
+            train_loop(insts, tiny_loop_config(2), out_dir=tmp_path, resume_epoch=epoch)
+
+
+def test_train_loop_resume_rejects_a_checkpoint_of_another_policy_shape(tmp_path):
+    insts = [generate_instance(3, 3, seed=s) for s in (71, 72)]
+    train_loop(insts, tiny_loop_config(1), out_dir=tmp_path)
+    other = replace(tiny_loop_config(2), next_ops=2)
+    with pytest.raises(ValueError, match="epoch_001.ckpt"):
+        train_loop(insts, other, out_dir=tmp_path, resume_epoch=1)
+
+
+def test_train_loop_resuming_a_finished_run_reports_it(tmp_path):
+    insts = [generate_instance(3, 3, seed=s) for s in (71, 72)]
+    full = train_loop(insts, tiny_loop_config(2), out_dir=tmp_path)
+    again = train_loop(insts, tiny_loop_config(2), out_dir=tmp_path, resume_epoch=2)
+    assert (again.best_epoch, again.best_greedy_mean) == (full.best_epoch, full.best_greedy_mean)
+    assert params_equal(full.best_params, clone(again.best_params))
+    assert params_equal(full.params, clone(again.params))
+    assert untimed(again.metrics) == untimed(full.metrics)
 
 
 @pytest.mark.filterwarnings("ignore:initial-solution wave skipped")
