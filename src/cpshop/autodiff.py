@@ -4,10 +4,14 @@ Just enough operator coverage for a small transformer policy: elementwise
 arithmetic with broadcasting, matmul, exp, tanh, sqrt, reductions, reshaping,
 indexing, concatenation, elementwise max/clip, (log-)softmax and layer norm.
 Gradients are float64 throughout. A result records a graph exactly when one
-of its inputs requires grad. ``concat``, ``tanh``, ``sqrt``, ``softmax``,
-``log_softmax`` and ``layer_norm`` also take plain ndarrays and return the
-plain ndarray of the same numpy expression, so one layer definition serves
-the differentiated pass and inference on plain weights alike.
+of its inputs requires grad, and backward computes a gradient only for an
+input that requires grad. Only leaves (tensors without a backward closure)
+keep a ``.grad``; an intermediate result passes its gradient on. The graph
+lives as long as its result is referenced. ``concat``, ``tanh``, ``sqrt``,
+``softmax``, ``log_softmax`` and ``layer_norm`` also take plain ndarrays and
+return the plain ndarray of the same numpy expression, so one layer
+definition serves the differentiated pass and inference on plain weights
+alike.
 """
 
 from __future__ import annotations
@@ -56,8 +60,13 @@ class Tensor:
     # -- graph ----------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate gradients of this (scalar) tensor into ``.grad`` of
-        every reachable tensor with ``requires_grad``."""
+        """Accumulate the gradient of this scalar tensor into ``.grad`` of
+        every reachable leaf that requires grad.
+
+        Gradients are computed only for tensors that require grad, and only
+        leaves (tensors without a backward closure) keep a ``.grad``; an
+        intermediate result passes its gradient on. The graph stays intact,
+        so a second backward adds the same gradients to the leaves again."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -79,11 +88,8 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.grad is None:
-                node.grad = g.copy()
-            else:
-                node.grad = node.grad + g
             if node._backward is None:
+                node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -102,8 +108,8 @@ class Tensor:
             self.data + other.data,
             parents=(self, other),
             backward=lambda g: (
-                _unbroadcast(g, self.shape),
-                _unbroadcast(g, other.shape),
+                _unbroadcast(g, self.shape) if self.requires_grad else None,
+                _unbroadcast(g, other.shape) if other.requires_grad else None,
             ),
         )
 
@@ -121,8 +127,8 @@ class Tensor:
             self.data * other.data,
             parents=(self, other),
             backward=lambda g: (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
+                _unbroadcast(g * other.data, self.shape) if self.requires_grad else None,
+                _unbroadcast(g * self.data, other.shape) if other.requires_grad else None,
             ),
         )
 
@@ -134,8 +140,10 @@ class Tensor:
             self.data / other.data,
             parents=(self, other),
             backward=lambda g: (
-                _unbroadcast(g / other.data, self.shape),
-                _unbroadcast(-g * self.data / (other.data**2), other.shape),
+                _unbroadcast(g / other.data, self.shape) if self.requires_grad else None,
+                _unbroadcast(-g * self.data / (other.data**2), other.shape)
+                if other.requires_grad
+                else None,
             ),
         )
 
@@ -143,9 +151,12 @@ class Tensor:
         other = astensor(other)
 
         def back(g):
-            ga = g @ np.swapaxes(other.data, -1, -2)
-            gb = np.swapaxes(self.data, -1, -2) @ g
-            return _unbroadcast(ga, self.shape), _unbroadcast(gb, other.shape)
+            ga = gb = None
+            if self.requires_grad:
+                ga = _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)
+            if other.requires_grad:
+                gb = _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)
+            return ga, gb
 
         return Tensor(self.data @ other.data, parents=(self, other), backward=back)
 
@@ -238,8 +249,8 @@ def maximum(a: Tensor, b) -> Tensor:
 
     def back(g):
         return (
-            _unbroadcast(g * take_a / w, a.shape),
-            _unbroadcast(g * take_b / w, b.shape),
+            _unbroadcast(g * take_a / w, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * take_b / w, b.shape) if b.requires_grad else None,
         )
 
     return Tensor(np.maximum(a.data, b.data), parents=(a, b), backward=back)

@@ -29,6 +29,7 @@ from cpshop.instances import (
     generate_instance,
     parse_instance,
     read_solution,
+    read_text,
     write_instance,
     write_solution,
 )
@@ -205,7 +206,7 @@ _CONFIG_KEYS = {
 def parse_train_config(path: str | Path, seed: int) -> TrainConfig:
     """Plain key=value file; unknown keys are rejected by name."""
     fields: dict = {"seed": seed}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

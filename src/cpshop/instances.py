@@ -185,10 +185,19 @@ def _parse_taillard_body(
     return jobs
 
 
+def read_text(path: str | Path) -> str:
+    """The file's text; a file that is not UTF-8 raises an
+    ``InstanceFormatError`` naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from None
+
+
 def parse_instance(path: str | Path, fmt: str) -> Instance:
     """Parse an instance file in the given format ('orlib' or 'taillard')."""
     path = Path(path)
-    text = path.read_text()
+    text = read_text(path)
     try:
         return parse_instance_text(text, fmt, name=path.stem)
     except InstanceFormatError as exc:
@@ -256,7 +265,7 @@ def read_solution(path: str | Path):
     """Read a solution document written by :func:`write_solution`."""
     from cpshop.model import Solution
 
-    text = Path(path).read_text()
+    text = read_text(path)
     name = None
     makespan = None
     rows: list[tuple[int, ...]] = []

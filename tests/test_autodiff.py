@@ -197,3 +197,45 @@ def test_mixing_in_a_requires_grad_tensor_records_a_graph():
     constant = softmax(x @ Tensor(w.data), axis=1)  # no input requires grad
     assert not constant.requires_grad
     assert constant._parents == () and constant._backward is None
+
+
+# each takes (x, w) of shapes (3, 4), (4, 4) with x the constant input
+CONSTANT_INPUTS = {
+    "matmul_add": lambda x, w: x @ w + w[0],
+    "mul": lambda x, w: x * w[:3],
+    "div": lambda x, w: w[:3] / (x * x + 1.0),
+    "maximum": lambda x, w: maximum(x, w[:3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_INPUTS))
+def test_leaf_grads_do_not_depend_on_whether_a_constant_requires_grad(name):
+    rng = np.random.default_rng(5)
+    x, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
+    weights = np.arange(1.0, 13.0).reshape(3, 4)
+    grads = []
+    for x_in in (x, Tensor(x, requires_grad=True)):
+        wt = Tensor(w, requires_grad=True)
+        (CONSTANT_INPUTS[name](x_in, wt) * weights).sum().backward()
+        grads.append(wt.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_backward_keeps_grad_on_leaves_only():
+    a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 0.25, 2.0]), requires_grad=True)
+    hidden = tanh(a * w)
+    scaled = hidden / 3.0
+    loss = (maximum(scaled, a) + scaled).sum()
+    loss.backward()
+    assert a.grad is not None and w.grad is not None
+    for node in (hidden, scaled, loss):
+        assert node.grad is None
+
+
+def test_second_backward_adds_the_same_leaf_grads_again():
+    a = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+    loss = (a * a).sum()
+    loss.backward()
+    loss.backward()
+    assert a.grad.tolist() == [8.0, 12.0]

@@ -342,13 +342,19 @@ def test_unreadable_input_file_is_data_error(
 
 
 # {inst} is a good instance file, {bad} a truncated one alone in {baddir},
-# {sol} a malformed solution file and {run} an output directory
+# {sol} a malformed solution file, {raw} a file that is not UTF-8 and {run}
+# an output directory
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["compress", "--instance", "{inst}", "--in", "{sol}"], "sol", id="compress-in"),
     pytest.param(["solve", "--instance", "{bad}"], "bad", id="solve-instance"),
     pytest.param(["bench", "--dir", "{baddir}"], "bad", id="bench-dir"),
     pytest.param(["train", "--instances", "{inst},{bad}", "--out", "{run}"], "bad",
                  id="train-second-instance"),
+    pytest.param(["solve", "--instance", "{raw}"], "raw", id="instance-not-utf8"),
+    pytest.param(["compress", "--instance", "{inst}", "--in", "{raw}"], "raw",
+                 id="solution-not-utf8"),
+    pytest.param(["train", "--instances", "{inst}", "--config", "{raw}", "--out", "{run}"],
+                 "raw", id="config-not-utf8"),
 ])
 def test_data_error_names_the_malformed_file(instance_dir, tmp_path, capsys, argv, named):
     paths = {
@@ -356,10 +362,12 @@ def test_data_error_names_the_malformed_file(instance_dir, tmp_path, capsys, arg
         "baddir": tmp_path / "bad",
         "bad": tmp_path / "bad" / "truncated.txt",
         "sol": tmp_path / "bad-sol.txt",
+        "raw": tmp_path / "raw.txt",
         "run": tmp_path / "run",
     }
     paths["baddir"].mkdir()
     paths["bad"].write_text("2 2\n1 2\n")
+    paths["raw"].write_bytes(b"3 3\n\xff\xfe\n")
     paths["sol"].write_text("instance x\nmakespan abc\njob 0: 0\n")
     code = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err
