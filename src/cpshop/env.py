@@ -1,10 +1,12 @@
 """Dispatching environment over the interval model.
 
 State: one interval per operation, a per-job window of the previous, the
-current, and the next few operations, and a clock ``t``. The windows are
-one grid of operation indices derived from the model's job cursors; an
-operation is loaded only while it lies within ``horizon`` operations of
-its job's current one, and unloaded slots show as sinks. An action either
+current, and the next few operations, and a clock ``t``. Each job has
+padded rows of slot kinds, processing times and machines: a source
+column, the job's operations, then sink columns. The window of a job at
+cursor ``c`` is the run of columns starting at ``c``, so every window is
+read with one flat ``take`` per table. Slots more than ``horizon``
+operations past the current one show as sinks. An action either
 dispatches a job (fixing its current operation at its start lower bound)
 or is a No-Op that advances the clock to the next interval-end event.
 
@@ -55,7 +57,8 @@ class Observation:
     ``j``; slot 0 is the previous (last fixed) operation, slot 1 the
     current one, later slots the upcoming operations. ``kinds`` marks
     slots with no underlying operation as source (before the first
-    operation) or sink (after the last loaded one); their features are
+    operation) or sink (after the job's last operation, or more than
+    ``horizon`` operations past the current one); their features are
     zero and stand-in embeddings are the policy's responsibility.
     """
 
@@ -90,11 +93,14 @@ class JobShopEnv:
         self.time_scale = instance.machine_load_bound()
         self.model: ModelState | None = None
         self.t = 0
+        self._kind: np.ndarray | None = None
 
     # -- lifecycle -------------------------------------------------------
 
     def reset(self) -> Observation:
         model = self.model = ModelState(self.instance)
+        if self._kind is None:
+            self._build_rows(model)
         # every first operation can start at 0, so the clock opens at the
         # earliest first-operation end
         self.t = int(model.proc[model.alive(), 0].min())
@@ -103,8 +109,9 @@ class JobShopEnv:
 
     def copy(self) -> JobShopEnv:
         """An independent environment at the same decision state: stepping
-        one leaves the other unchanged. The cached observation is shared,
-        since each transition replaces it and none mutates it."""
+        one leaves the other unchanged. The padded operation rows and the
+        cached observation are shared, since each transition replaces the
+        observation and none mutates either."""
         twin = copy.copy(self)
         twin.model = self._require_model().copy()
         return twin
@@ -124,33 +131,49 @@ class JobShopEnv:
 
     # -- derived decision state ------------------------------------------
 
+    def _build_rows(self, model: ModelState) -> None:
+        """Lay out each job's slot kinds, processing times and machines as
+        one padded row: a source column, the job's operations, then
+        ``2 + next_ops`` sink columns. Slot ``s`` of a job at cursor ``c``
+        is column ``c + s``. Padding under sources and sinks is masked out
+        of every observation; its machine is 0, a valid index."""
+        jc, max_ops = model.proc.shape
+        width = max_ops + 3 + self.next_ops
+        ops = slice(1, 1 + max_ops)
+        kind = np.full((jc, width), SLOT_SINK, dtype=np.int8)
+        kind[:, 0] = SLOT_SOURCE
+        kind[:, ops][np.arange(max_ops) < model.n_ops[:, None]] = SLOT_REAL
+        proc = np.zeros((jc, width), dtype=np.int64)
+        proc[:, ops] = model.proc
+        machine = np.zeros((jc, width), dtype=np.int64)
+        machine[:, ops] = np.maximum(model.machine, 0)
+        self._kind, self._proc, self._machine = kind.ravel(), proc.ravel(), machine.ravel()
+        offsets = np.arange(jc, dtype=np.int64) * width
+        self._grid = offsets[:, None] + np.arange(2 + self.next_ops)
+
     def _settle(self) -> None:
         """Derive the decision state after a transition from one
         computation of the current start lower bounds.
 
-        When no job is dispatchable the clock advances to the minimum
-        current end lower bound, which always re-enables at least one job.
-        No-Op is offered exactly when a later current-end or machine-release
-        event exists, so an accepted No-Op always advances the clock.
+        The window is read from the padded rows at each job's cursor; the
+        slots past ``horizon`` become sinks in one slice write, since real
+        slots end at ``cursor + horizon``. When no job is dispatchable the
+        clock advances to the minimum current end lower bound, which
+        always re-enables at least one job. No-Op is offered exactly when
+        a later current-end or machine-release event exists, so an
+        accepted No-Op always advances the clock.
         """
         model = self.model
         jc = self.instance.job_count
         alive = model.alive()
         lbs = model.current_lbs()
-        # one grid of operation indices: slot 0 is the previous operation,
-        # slot 1 the current one, later slots the upcoming ones. Indices
-        # before the first operation are sources, those past the horizon
-        # window (or past the job's last operation) are sinks.
+        # slot 0 is the previous operation, slot 1 the current one, later
+        # slots the upcoming ones
         slots = 2 + self.next_ops
-        k = model.cursor[:, None] + np.arange(-1, slots - 1)
-        window_end = np.minimum(model.n_ops, model.cursor + self.horizon)
-        kinds = np.where(
-            k < 0, SLOT_SOURCE, np.where(k < window_end[:, None], SLOT_REAL, SLOT_SINK)
-        ).astype(np.int8)
-        real = kinds == SLOT_REAL
-        rows = np.arange(jc)[:, None]
-        k = np.minimum(np.maximum(k, 0), model.proc.shape[1] - 1)
-        proc = model.proc[rows, k]
+        cols = self._grid + model.cursor[:, None]
+        kinds = self._kind.take(cols)
+        kinds[:, self.horizon + 1 :] = SLOT_SINK
+        proc = self._proc.take(cols)
         ends = (lbs + proc[:, 1])[alive]
         ready = alive & (lbs <= self.t)
         if alive.any() and not ready.any():
@@ -162,11 +185,13 @@ class JobShopEnv:
 
         # the previous operation's fixed start, then start lower bounds
         # chained from the current one
-        release = model.release[model.machine[rows, k]]
-        lb = model.starts[rows, k]
+        release = model.release.take(self._machine.take(cols))
+        lb = np.empty_like(proc)
+        lb[:, 0] = model.prev_end - proc[:, 0]
         lb[:, 1] = lbs
         for s in range(2, slots):
             lb[:, s] = np.maximum(lb[:, s - 1] + proc[:, s - 1], release[:, s])
+        real = kinds == SLOT_REAL
         feats = np.zeros((jc, slots, 4), dtype=np.float64)
         feats[:, 0, F_ASSIGNED] = real[:, 0]
         feats[..., F_LB] = np.where(real, lb, 0)
@@ -232,16 +257,26 @@ class JobShopEnv:
             raise ActionError("priority must be a permutation of all job indices")
         applied: list[int] = []
         t = self.t
-        ready = self._mask[:-1]
-        while ready.any():
+        release = model.release.tolist()
+        jobs = order[self._mask[:-1][order]]
+        while jobs.size:
             # bounds of other jobs only rise within a sweep, so it visits
             # just the jobs ready at its start; such a job stays ready
             # unless an earlier dispatch released its machine after t
-            for job in order[ready[order]].tolist():
-                if model.release[model.machine[job, model.cursor[job]]] <= t:
+            cols = self._grid[:, 1].take(jobs) + model.cursor.take(jobs)
+            ended = []
+            for job, m in zip(jobs.tolist(), self._machine.take(cols).tolist()):
+                if release[m] <= t:
                     model.fix_start(job)
                     applied.append(job)
-            ready = model.alive() & (model.current_lbs() <= t)
+                    release[m] = int(model.release[m])
+                    if release[m] <= t:
+                        ended.append(job)
+            # only a job whose operation this sweep ended by t can be ready
+            # again; the sweep visited them in priority order
+            jobs = np.array(ended, dtype=np.int64)
+            if ended:
+                jobs = jobs[model.alive().take(jobs) & (model.current_lbs(jobs) <= t)]
         return self._result(tuple(applied))
 
     def solution(self) -> Solution:

@@ -4,9 +4,10 @@ The model stores, per job, a cursor to the current (first unfixed)
 operation, the end of the job's last fixed operation, and per machine its
 release time. The start lower bound of a job's current operation is the
 max of its predecessor's end and the release time of its machine; it is
-computed in :meth:`ModelState.current_lbs` for all jobs at once and in
-:meth:`ModelState.fix_start` for the fixed job. This is exact for the
-chronological lower-bound fixing performed by the dispatching environment.
+computed in :meth:`ModelState.current_lbs` for all jobs (or a subset) at
+once and in :meth:`ModelState.fix_start` for the fixed job. This is exact
+for the chronological lower-bound fixing performed by the dispatching
+environment.
 
 Also provides solution validation and the package's one evaluator of
 earliest starts under fixed machine orders. It numbers the operations job
@@ -61,6 +62,7 @@ class ModelState:
         self.op_count = int(self.n_ops.sum())
         max_ops = int(self.n_ops.max())
         self.machine = np.full((jc, max_ops), -1, dtype=np.int64)
+        self.row_start = np.arange(jc, dtype=np.int64) * max_ops
         self.proc = np.zeros((jc, max_ops), dtype=np.int64)
         for j, ops in enumerate(instance.jobs):
             for k, op in enumerate(ops):
@@ -95,15 +97,19 @@ class ModelState:
         """Boolean mask of jobs that still have unfixed operations."""
         return self.cursor < self.n_ops
 
-    def current_lbs(self) -> np.ndarray:
-        """Start lower bound of each job's current operation.
+    def current_lbs(self, jobs: np.ndarray | None = None) -> np.ndarray:
+        """Start lower bound of the current operation of every job, or of
+        each of ``jobs``.
 
         Finished jobs get the upper-bound sentinel.
         """
-        alive = self.alive()
-        k = np.where(alive, self.cursor, 0)
-        mach = self.machine[np.arange(len(k)), k]
-        lbs = np.maximum(self.prev_end, self.release[mach])
+        cursor, n_ops, prev_end, row_start = self.cursor, self.n_ops, self.prev_end, self.row_start
+        if jobs is not None:
+            cursor, n_ops = cursor.take(jobs), n_ops.take(jobs)
+            prev_end, row_start = prev_end.take(jobs), row_start.take(jobs)
+        alive = cursor < n_ops
+        mach = self.machine.ravel().take(row_start + np.where(alive, cursor, 0))
+        lbs = np.maximum(prev_end, self.release.take(mach))
         return np.where(alive, lbs, self.ub_sentinel)
 
     # -- transitions -----------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from cpshop.env import F_LB, F_LENGTH, JobShopEnv, Observation, SLOT_REAL
+from cpshop.env import F_LB, F_LENGTH, JobShopEnv, Observation
 from cpshop.instances import Instance
 from cpshop.model import Solution
 
@@ -33,13 +33,13 @@ def pdr_logits(observation: Observation, rule: str) -> np.ndarray:
     job index.
     """
     feats = observation.features
-    real = observation.kinds == SLOT_REAL
     if rule == "fifo":
         prio = -feats[:, 1, F_LB]
     elif rule == "spt":
         prio = -feats[:, 1, F_LENGTH]
     elif rule == "mtwr":
-        prio = (feats[:, 1:, F_LENGTH] * real[:, 1:]).sum(axis=1)
+        # lengths are 0 on every slot that is not real
+        prio = feats[:, 1:, F_LENGTH].sum(axis=1)
     else:
         raise ValueError(f"unknown rule {rule!r}, expected one of {RULES}")
     logits = np.empty(observation.job_count + 1, dtype=np.float64)

@@ -368,7 +368,45 @@ def test_step_vector_dispatches_everything_ready():
     assert result.observation.t == 5
 
 
-# -- window grid -------------------------------------------------------
+def test_step_vector_redispatches_a_job_within_one_call():
+    # a job dispatched at a bound below t whose operation ends at or before
+    # t is ready again, and a later sweep of the same call dispatches it
+    inst = generate_instance(5, 4, seed=2)
+    rng = np.random.default_rng(0)
+    env, replay = JobShopEnv(inst), JobShopEnv(inst)
+    env.reset()
+    replay.reset()
+    redispatched = 0
+    while not env.done:
+        t, cursor = env.t, env.model.cursor.copy()
+        result = env.step_vector(rng.permutation(inst.job_count))
+        applied = result.applied_actions
+        for job in set(applied):
+            if applied.count(job) > 1:
+                start = env.model.starts[job, cursor[job]]
+                assert start < t and start + env.model.proc[job, cursor[job]] <= t
+                redispatched += 1
+        for job in applied:
+            obs = replay.step(job).observation
+        assert obs_bytes(obs) == obs_bytes(result.observation)
+    assert redispatched > 0
+    assert env.solution() == replay.solution()
+
+
+def test_step_vector_finishes_a_job_at_the_clock_equal_to_the_sentinel():
+    # one machine: the clock reaches the total processing time, which is
+    # also the bound reported for a finished job
+    inst = Instance("one-machine", 2, 1, ((Operation(0, 2),), (Operation(0, 3),)))
+    env = JobShopEnv(inst)
+    env.reset()
+    env.step(0)
+    obs = env.step(env.noop_action).observation
+    assert obs.t == env.model.ub_sentinel == 5
+    assert env.step_vector([1, 0]).applied_actions == (1,)
+    assert env.done and env.solution().starts == ((0,), (2,))
+
+
+# -- window rows -------------------------------------------------------
 
 
 def two_block_window(model, t, horizon, next_ops):
@@ -422,6 +460,30 @@ def uneven_instance(jobs, machines, rng):
     return Instance("uneven", jobs, machines, tuple(ops))
 
 
+def assert_windows_match_two_block_builder(inst, horizon, next_ops, rng):
+    """Walk one episode of random steps, vector steps and No-Ops, comparing
+    every observation with the two-block builder's."""
+    env = JobShopEnv(inst, horizon=horizon, next_ops=next_ops)
+    obs = env.reset()
+    while True:
+        feats, kinds, mask = two_block_window(env.model, obs.t, horizon, next_ops)
+        assert obs.t == env.t
+        assert obs.features.dtype == feats.dtype and obs.features.shape == feats.shape
+        assert obs.features.tobytes() == feats.tobytes()
+        assert obs.kinds.dtype == kinds.dtype and obs.kinds.tobytes() == kinds.tobytes()
+        assert obs.mask.tobytes() == mask.tobytes()
+        if env.done:
+            break
+        u = rng.random()
+        if u < 0.3:
+            obs = env.step_vector(rng.permutation(inst.job_count)).observation
+        elif u < 0.45 and obs.mask[-1]:
+            obs = env.step(env.noop_action).observation
+        else:
+            obs = env.step(int(rng.choice(np.flatnonzero(obs.mask[:-1])))).observation
+    assert validate(inst, env.solution())
+
+
 @pytest.mark.parametrize("horizon,next_ops", [(10, 3), (1, 3), (2, 0), (3, 5), (2, 2)])
 def test_window_equals_two_block_builder(horizon, next_ops):
     rng = np.random.default_rng(10 * horizon + next_ops)
@@ -430,25 +492,12 @@ def test_window_equals_two_block_builder(horizon, next_ops):
             inst = uneven_instance(6, 5, rng)
         else:
             inst = generate_instance(5, 4, seed=500 + trial)
-        env = JobShopEnv(inst, horizon=horizon, next_ops=next_ops)
-        obs = env.reset()
-        while True:
-            feats, kinds, mask = two_block_window(env.model, obs.t, horizon, next_ops)
-            assert obs.t == env.t
-            assert obs.features.dtype == feats.dtype and obs.features.shape == feats.shape
-            assert obs.features.tobytes() == feats.tobytes()
-            assert obs.kinds.dtype == kinds.dtype and obs.kinds.tobytes() == kinds.tobytes()
-            assert obs.mask.tobytes() == mask.tobytes()
-            if env.done:
-                break
-            u = rng.random()
-            if u < 0.3:
-                obs = env.step_vector(rng.permutation(inst.job_count)).observation
-            elif u < 0.45 and obs.mask[-1]:
-                obs = env.step(env.noop_action).observation
-            else:
-                obs = env.step(int(rng.choice(np.flatnonzero(obs.mask[:-1])))).observation
-        assert validate(inst, env.solution())
+        assert_windows_match_two_block_builder(inst, horizon, next_ops, rng)
+    if (horizon, next_ops) == (10, 3):
+        # at size, with jobs shorter than the longest one and cursors at
+        # the end of their job
+        assert_windows_match_two_block_builder(generate_instance(200, 10, seed=516), 10, 3, rng)
+        assert_windows_match_two_block_builder(uneven_instance(60, 10, rng), 10, 3, rng)
 
 
 @pytest.mark.parametrize("next_ops", [0, 3])

@@ -19,6 +19,8 @@ from cpshop.rules import (
     sample_lockstep,
 )
 
+from test_env import uneven_instance
+
 
 def crafted_observation():
     """Three jobs, two visible slots each, with distinct rule orderings.
@@ -56,6 +58,41 @@ def test_mtwr_sums_only_visible_real_slots():
     logits = pdr_logits(crafted_observation(), "mtwr")
     assert logits[:-1].tolist() == [6.0, 9.0, 7.0]
     assert np.argmax(logits[:-1]) == 1
+
+
+def kind_masked_pdr_logits(observation, rule):
+    """The rules as written when mtwr also masked the lengths by slot kind."""
+    feats = observation.features
+    real = observation.kinds == SLOT_REAL
+    if rule == "fifo":
+        prio = -feats[:, 1, F_LB]
+    elif rule == "spt":
+        prio = -feats[:, 1, F_LENGTH]
+    else:
+        prio = (feats[:, 1:, F_LENGTH] * real[:, 1:]).sum(axis=1)
+    logits = np.empty(observation.job_count + 1, dtype=np.float64)
+    logits[:-1] = prio
+    logits[-1] = -np.inf
+    return logits
+
+
+@pytest.mark.parametrize("horizon,next_ops", [(10, 3), (2, 2)])
+def test_rule_logits_equal_the_kind_masked_formula(horizon, next_ops):
+    rng = np.random.default_rng(horizon + next_ops)
+    for trial in range(6):
+        if trial % 2:
+            inst = uneven_instance(12, 6, rng)
+        else:
+            inst = generate_instance(8, 5, seed=600 + trial)
+        env = JobShopEnv(inst, horizon=horizon, next_ops=next_ops)
+        obs = env.reset()
+        while True:
+            for rule in RULES:
+                expected = kind_masked_pdr_logits(obs, rule)
+                assert pdr_logits(obs, rule).tobytes() == expected.tobytes()
+            if env.done:
+                break
+            obs = env.step(int(rng.choice(np.flatnonzero(obs.mask[:-1])))).observation
 
 
 def test_unknown_rule_rejected():
