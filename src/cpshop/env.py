@@ -1,9 +1,10 @@
 """Dispatching environment over the interval model.
 
 State: one interval per operation, a per-job window of the previous, the
-current, and the next few operations, and a clock ``t``. Each job has
-padded rows of slot kinds, processing times and machines: a source
-column, the job's operations, then sink columns. The window of a job at
+current, and the next few operations, and a clock ``t``. At construction
+each job is laid out, from the instance's operation tables, as padded
+rows of slot kinds, processing times and machines: a source column, the
+job's operations, then sink columns. The window of a job at
 cursor ``c`` is the run of columns starting at ``c``, so every window is
 read with one flat ``take`` per table. Slots more than ``horizon``
 operations past the current one show as sinks. An action either
@@ -93,14 +94,22 @@ class JobShopEnv:
         self.time_scale = instance.machine_load_bound()
         self.model: ModelState | None = None
         self.t = 0
-        self._kind: np.ndarray | None = None
+        # padded rows (source, operations, 2 + next_ops sinks): slot s at cursor
+        # c is column c + s. Padding, masked out of observations, has machine 0
+        jc, max_ops = instance.proc.shape
+        width, ops = max_ops + 3 + next_ops, slice(1, 1 + max_ops)
+        kind = np.full((jc, width), SLOT_SINK, dtype=np.int8)
+        kind[:, 0] = SLOT_SOURCE
+        kind[:, ops][instance.proc > 0] = SLOT_REAL
+        proc, machine = np.zeros((2, jc, width), dtype=np.int64)
+        proc[:, ops], machine[:, ops] = instance.proc, instance.machine
+        self._kind, self._proc, self._machine = kind.ravel(), proc.ravel(), machine.ravel()
+        self._grid = np.arange(jc, dtype=np.int64)[:, None] * width + np.arange(2 + next_ops)
 
     # -- lifecycle -------------------------------------------------------
 
     def reset(self) -> Observation:
         model = self.model = ModelState(self.instance)
-        if self._kind is None:
-            self._build_rows(model)
         # every first operation can start at 0, so the clock opens at the
         # earliest first-operation end
         self.t = int(model.proc[model.alive(), 0].min())
@@ -130,26 +139,6 @@ class JobShopEnv:
         return self.instance.job_count
 
     # -- derived decision state ------------------------------------------
-
-    def _build_rows(self, model: ModelState) -> None:
-        """Lay out each job's slot kinds, processing times and machines as
-        one padded row: a source column, the job's operations, then
-        ``2 + next_ops`` sink columns. Slot ``s`` of a job at cursor ``c``
-        is column ``c + s``. Padding under sources and sinks is masked out
-        of every observation; its machine is 0, a valid index."""
-        jc, max_ops = model.proc.shape
-        width = max_ops + 3 + self.next_ops
-        ops = slice(1, 1 + max_ops)
-        kind = np.full((jc, width), SLOT_SINK, dtype=np.int8)
-        kind[:, 0] = SLOT_SOURCE
-        kind[:, ops][np.arange(max_ops) < model.n_ops[:, None]] = SLOT_REAL
-        proc = np.zeros((jc, width), dtype=np.int64)
-        proc[:, ops] = model.proc
-        machine = np.zeros((jc, width), dtype=np.int64)
-        machine[:, ops] = np.maximum(model.machine, 0)
-        self._kind, self._proc, self._machine = kind.ravel(), proc.ravel(), machine.ravel()
-        offsets = np.arange(jc, dtype=np.int64) * width
-        self._grid = offsets[:, None] + np.arange(2 + self.next_ops)
 
     def _settle(self) -> None:
         """Derive the decision state after a transition from one

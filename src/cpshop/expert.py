@@ -100,7 +100,7 @@ def solve_exact(
     ``time_limit`` ends the search only once it has found a schedule."""
     jc = instance.job_count
     mc = instance.machine_count
-    n_ops = [len(ops) for ops in instance.jobs]
+    n_ops = instance.n_ops.tolist()
     total = sum(n_ops)
     deadline = np.inf if time_limit is None else time.monotonic() + time_limit
 
@@ -112,11 +112,8 @@ def solve_exact(
     cursor = [0] * jc
     ready = [0] * jc
     free = [0] * mc
-    rem_job = [sum(op.processing_time for op in ops) for ops in instance.jobs]
-    rem_machine = [0] * mc
-    for ops in instance.jobs:
-        for op in ops:
-            rem_machine[op.machine] += op.processing_time
+    rem_job = instance.proc.sum(axis=1).tolist()
+    rem_machine = instance.machine_loads.tolist()
     starts = [[0] * n for n in n_ops]
 
     # Depth-first search with an explicit stack, one frame per expanded

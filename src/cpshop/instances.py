@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -68,22 +69,52 @@ class Instance:
                         stacklevel=2,
                     )
                 seen.add(op.machine)
+        if not any(self.jobs):
+            raise ValueError("instance needs at least one operation")
+
+    @cached_property
+    def n_ops(self) -> np.ndarray:
+        """Operation count per job, ``(job_count,)``."""
+        return _read_only(np.array([len(ops) for ops in self.jobs], dtype=np.int64))
+
+    @cached_property
+    def proc(self) -> np.ndarray:
+        """Processing times, ``(job_count, max ops)``; 0, never a real time, past a job's end."""
+        return self._table([op.processing_time for ops in self.jobs for op in ops])
+
+    @cached_property
+    def machine(self) -> np.ndarray:
+        """Machines laid out as :attr:`proc`; the padding 0 is a valid index."""
+        return self._table([op.machine for ops in self.jobs for op in ops])
+
+    @cached_property
+    def machine_loads(self) -> np.ndarray:
+        """Total processing time per machine, ``(machine_count,)``."""
+        loads = np.zeros(self.machine_count, dtype=np.int64)
+        np.add.at(loads, self.machine, self.proc)  # padding adds 0
+        return _read_only(loads)
+
+    def _table(self, values: list[int]) -> np.ndarray:
+        table = np.zeros((self.job_count, int(self.n_ops.max())), dtype=np.int64)
+        table[np.arange(table.shape[1]) < self.n_ops[:, None]] = values
+        return _read_only(table)
 
     @property
     def total_operations(self) -> int:
-        return sum(len(ops) for ops in self.jobs)
+        return int(self.n_ops.sum())
 
     @property
     def total_processing_time(self) -> int:
-        return sum(op.processing_time for ops in self.jobs for op in ops)
+        return int(self.proc.sum())
 
     def machine_load_bound(self) -> int:
         """Max over machines of total assigned work, a makespan lower bound."""
-        load = [0] * self.machine_count
-        for ops in self.jobs:
-            for op in ops:
-                load[op.machine] += op.processing_time
-        return max(load)
+        return int(self.machine_loads.max())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)  # every model and env of the instance shares it
+    return array
 
 
 def _tokens(text: str) -> Iterator[tuple[int, list[str]]]:

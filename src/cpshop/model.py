@@ -2,8 +2,9 @@
 
 The model stores, per job, a cursor to the current (first unfixed)
 operation, the end of the job's last fixed operation, and per machine its
-release time. The start lower bound of a job's current operation is the
-max of its predecessor's end and the release time of its machine; it is
+release time; its operation tables are the instance's own read-only
+arrays. The start lower bound of a job's current operation is the max of
+its predecessor's end and the release time of its machine; it is
 computed in :meth:`ModelState.current_lbs` for all jobs (or a subset) at
 once and in :meth:`ModelState.fix_start` for the fixed job. This is exact
 for the chronological lower-bound fixing performed by the dispatching
@@ -57,17 +58,10 @@ class ModelState:
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        jc = instance.job_count
-        self.n_ops = np.array([len(ops) for ops in instance.jobs], dtype=np.int64)
-        self.op_count = int(self.n_ops.sum())
-        max_ops = int(self.n_ops.max())
-        self.machine = np.full((jc, max_ops), -1, dtype=np.int64)
+        self.n_ops, self.proc, self.machine = instance.n_ops, instance.proc, instance.machine
+        self.op_count = instance.total_operations
+        jc, max_ops = self.proc.shape
         self.row_start = np.arange(jc, dtype=np.int64) * max_ops
-        self.proc = np.zeros((jc, max_ops), dtype=np.int64)
-        for j, ops in enumerate(instance.jobs):
-            for k, op in enumerate(ops):
-                self.machine[j, k] = op.machine
-                self.proc[j, k] = op.processing_time
         self.cursor = np.zeros(jc, dtype=np.int64)
         self.prev_end = np.zeros(jc, dtype=np.int64)
         self.release = np.zeros(instance.machine_count, dtype=np.int64)
@@ -158,10 +152,8 @@ class OperationIndex:
 
     @classmethod
     def of(cls, instance: Instance) -> OperationIndex:
-        first = [0]
-        for ops in instance.jobs:
-            first.append(first[-1] + len(ops))
-        proc = [op.processing_time for ops in instance.jobs for op in ops]
+        first = [0, *np.cumsum(instance.n_ops).tolist()]
+        proc = instance.proc[instance.proc > 0].tolist()
         job_next = [
             o + 1 if o + 1 < b else -1 for a, b in zip(first, first[1:]) for o in range(a, b)
         ]

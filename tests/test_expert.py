@@ -23,6 +23,7 @@ from cpshop.model import (
     validate,
 )
 from cpshop.rules import RulePolicy, greedy_rollout
+from test_env import uneven_instance
 
 
 def brute_force_makespan(instance):
@@ -54,8 +55,12 @@ def test_exact_on_tiny_known_instance():
 
 def test_exact_matches_enumeration_on_random_3x3():
     rng = np.random.default_rng(0)
-    for trial in range(8):
-        inst = generate_instance(3, 3, seed=int(rng.integers(1 << 30)), low=1, high=9)
+    square = [
+        generate_instance(3, 3, seed=int(rng.integers(1 << 30)), low=1, high=9) for _ in range(8)
+    ]
+    # jobs of 1..3 operations: ragged remaining work per job and machine
+    uneven = [uneven_instance(3, 3, rng) for _ in range(4)]
+    for inst in square + uneven:
         result = solve_exact(inst)
         assert result.certified
         assert validate(inst, result.solution)
@@ -172,8 +177,11 @@ def test_head_tail_critical_matches_tight_arc_search():
 
 def test_improve_never_worsens():
     rng = np.random.default_rng(3)
-    for trial in range(6):
-        inst = generate_instance(6, 6, seed=600 + trial)
+    for trial in range(8):
+        if trial < 6:
+            inst = generate_instance(6, 6, seed=600 + trial)
+        else:
+            inst = uneven_instance(8, 6, rng)
         base = greedy_rollout(inst, RulePolicy("spt"))
         out = improve(inst, base, evals=500, seed=trial)
         assert validate(inst, out)
@@ -306,12 +314,12 @@ def test_complete_prefix_full_prefix_is_identity():
 
 
 def test_complete_prefix_preserves_prefix_starts():
-    inst = generate_instance(5, 5, seed=8)
-    cut, fixed = random_prefix(inst, 6, seed=1)
-    sol = complete_prefix(inst, cut, config=ExpertConfig(improve_evals=500))
-    assert validate(inst, sol)
-    for j, k, s in fixed:
-        assert sol.starts[j][k] == s
+    for inst in (generate_instance(5, 5, seed=8), uneven_instance(8, 5, np.random.default_rng(8))):
+        cut, fixed = random_prefix(inst, 6, seed=1)
+        sol = complete_prefix(inst, cut, config=ExpertConfig(improve_evals=500))
+        assert validate(inst, sol)
+        for j, k, s in fixed:
+            assert sol.starts[j][k] == s
 
 
 def test_complete_prefix_leaves_the_cut_unchanged():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpshop.env import JobShopEnv
 from cpshop.instances import (
     Instance,
     InstanceFormatError,
@@ -14,6 +15,7 @@ from cpshop.instances import (
     write_solution,
 )
 from cpshop.model import Solution
+from test_env import uneven_instance
 
 ORLIB_2X2 = """\
 2 2
@@ -139,6 +141,13 @@ def test_instance_validation():
             machine_count=1,
             jobs=((Operation(machine=2, processing_time=1),),),
         )
+    with pytest.raises(ValueError, match="at least one operation"):
+        Instance(name="empty", job_count=1, machine_count=1, jobs=((),))
+    with pytest.raises(ValueError, match="at least one operation"):
+        Instance(name="empty", job_count=2, machine_count=1, jobs=((), ()))
+    # an empty job beside others is fine
+    inst = Instance(name="gap", job_count=2, machine_count=1, jobs=((), (Operation(0, 2),)))
+    assert inst.total_operations == 1
 
 
 def test_solution_document_roundtrip(tmp_path):
@@ -154,3 +163,61 @@ def test_solution_document_rejects_garbage(tmp_path):
     path.write_text("instance x\nmakespan 5\nwat 1 2\n")
     with pytest.raises(InstanceFormatError, match="unexpected record"):
         read_solution(path)
+
+
+# -- operation tables ----------------------------------------------------
+
+
+def uneven_instances():
+    rng = np.random.default_rng(17)
+    with_empty_job = Instance(
+        "empty-job", 3, 3, ((Operation(2, 4), Operation(0, 1)), (), (Operation(1, 6),))
+    )
+    return [uneven_instance(7, 5, rng), uneven_instance(12, 6, rng), with_empty_job]
+
+
+def reference_tables(inst):
+    """The operation tables by one loop over the operations."""
+    max_ops = max(len(ops) for ops in inst.jobs)
+    n_ops = np.zeros(inst.job_count, dtype=np.int64)
+    proc = np.zeros((inst.job_count, max_ops), dtype=np.int64)
+    machine = np.zeros((inst.job_count, max_ops), dtype=np.int64)
+    loads = np.zeros(inst.machine_count, dtype=np.int64)
+    for j, ops in enumerate(inst.jobs):
+        n_ops[j] = len(ops)
+        for k, op in enumerate(ops):
+            proc[j, k] = op.processing_time
+            machine[j, k] = op.machine
+            loads[op.machine] += op.processing_time
+    return n_ops, proc, machine, loads
+
+
+@pytest.mark.parametrize("inst", uneven_instances(), ids=lambda inst: inst.name)
+def test_operation_tables_match_a_loop_over_the_operations(inst):
+    tables = (inst.n_ops, inst.proc, inst.machine, inst.machine_loads)
+    expected = reference_tables(inst)
+    for table, reference in zip(tables, expected):
+        assert table.dtype == np.int64
+        np.testing.assert_array_equal(table, reference)
+    assert inst.total_operations == sum(len(ops) for ops in inst.jobs)
+    assert inst.total_processing_time == sum(op.processing_time for ops in inst.jobs for op in ops)
+    assert inst.machine_load_bound() == max(expected[3])
+
+
+def test_operation_tables_are_read_only_and_shared():
+    inst = uneven_instances()[0]
+    for table in (inst.n_ops, inst.proc, inst.machine, inst.machine_loads):
+        with pytest.raises(ValueError):
+            table[0] = 1
+    a, b = JobShopEnv(inst), JobShopEnv(inst)
+    a.reset(), b.reset()
+    for name in ("n_ops", "proc", "machine"):
+        assert getattr(a.model, name) is getattr(inst, name)
+        assert getattr(b.model, name) is getattr(inst, name)
+
+
+def test_operation_tables_leave_equality_and_hashing_alone():
+    inst = generate_instance(4, 3, seed=5)
+    twin = generate_instance(4, 3, seed=5)
+    inst.proc  # builds the tables of one of the two
+    assert inst == twin and hash(inst) == hash(twin)
