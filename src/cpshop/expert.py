@@ -8,12 +8,17 @@ the best incumbent found.
 ``improve`` is a critical-path local search over per-machine operation
 sequences: adjacent swaps of critical operations, first-improvement, and
 random feasible perturbations when stuck. Operations are numbered job by
-job (job ``j``'s ``k``-th is ``first[j] + k``) and every candidate is
-re-timed by ``cpshop.model.earliest_starts``, as in ``compress``. An
-operation is critical when head (earliest start) + processing time + tail
-(longest path from its end to the sink) equals the makespan (Taillard
-1994). Pinned operations are never moved, which supports completing a
-frozen schedule prefix.
+job (job ``j``'s ``k``-th is ``first[j] + k``). An operation is critical
+when head (earliest start) + processing time + tail (longest path from its
+end to the sink) equals the makespan (Taillard 1994). Each candidate swap
+is first screened in O(1): the current heads and tails give the longest
+path through the swapped pair, and a swap whose path already reaches the
+makespan is rejected. That path exists in the swapped graph whenever the
+swap is acyclic, and a cyclic swap is rejected anyway, so the screen
+cannot change a result. The other candidates and every perturbation are
+re-timed by ``cpshop.model.earliest_starts``, as in ``compress``. Pinned
+operations are never moved, which supports completing a frozen schedule
+prefix.
 
 ``complete_prefix`` turns a partial dispatch into a full high-quality
 schedule: it continues an environment stepped to the cut, finishes a copy
@@ -177,16 +182,46 @@ def solve_exact(
 # -- local search ----------------------------------------------------------
 
 
-def _critical(index: OperationIndex, heads, order, machine_next, makespan) -> list[bool]:
-    """Whether each operation lies on a longest path: head + p + tail equals
-    the makespan, with the tails from one reverse pass over ``order``."""
+def _critical(index: OperationIndex, heads, order, machine_next, makespan):
+    """Tails (longest path from each operation's end to the sink, by one
+    reverse pass over ``order``) and whether each operation lies on a
+    longest path: head + p + tail equals the makespan."""
     proc, job_next = index.proc, index.job_next
     tails = [0] * len(proc)
     for o in reversed(order):
         for succ in (job_next[o], machine_next[o]):
             if succ >= 0 and proc[succ] + tails[succ] > tails[o]:
                 tails[o] = proc[succ] + tails[succ]
-    return [h + p + t == makespan for h, p, t in zip(heads, proc, tails)]
+    return tails, [h + p + t == makespan for h, p, t in zip(heads, proc, tails)]
+
+
+def _swap_bound(index: OperationIndex, heads, tails, seq, i) -> int:
+    """Longest path through ``u = seq[i]`` and ``v = seq[i + 1]`` once they
+    swap places, from the heads and tails before the swap (Taillard 1994).
+
+    After the swap, ``v`` starts after its job predecessor and the machine
+    predecessor ``seq[i - 1]``; ``u`` ends before its job successor and the
+    machine successor ``seq[i + 2]``. A path through the pair enters ``u``
+    from its job predecessor, or leaves ``v`` to its job successor, or runs
+    ``v`` then ``u``. If the swap leaves the graph acyclic, none of the
+    heads and tails read here changes, so this is the length of a real path
+    and a lower bound on the makespan after the swap.
+    """
+    proc, job_next = index.proc, index.job_next
+    u, v = seq[i], seq[i + 1]
+    # o's job predecessor is o - 1 when that operation's job successor is o
+    head_v = heads[v - 1] + proc[v - 1] if v and job_next[v - 1] == v else 0
+    if i:
+        head_v = max(head_v, heads[seq[i - 1]] + proc[seq[i - 1]])
+    tail_u = proc[job_next[u]] + tails[job_next[u]] if job_next[u] >= 0 else 0
+    if i + 2 < len(seq):
+        tail_u = max(tail_u, proc[seq[i + 2]] + tails[seq[i + 2]])
+    into_u = heads[u - 1] + proc[u - 1] if u and job_next[u - 1] == u else 0
+    from_v = proc[job_next[v]] + tails[job_next[v]] if job_next[v] >= 0 else 0
+    return max(
+        into_u + proc[u] + tail_u,
+        head_v + proc[v] + max(from_v, proc[u] + tail_u),
+    )
 
 
 def improve(
@@ -210,6 +245,9 @@ def improve(
         return deadline is not None and time.monotonic() > deadline
 
     index = OperationIndex.of(instance)
+    for j, k in pinned:
+        if not (0 <= j < instance.job_count and 0 <= k < instance.n_ops[j]):
+            raise ValueError(f"pinned operation {(j, k)} is not in the instance")
     pins = {index.first[j] + k for j, k in pinned}
     if not (report := validate(instance, solution)):
         raise ValueError(f"cannot improve infeasible solution: {report.violation}")
@@ -220,16 +258,17 @@ def improve(
     makespan = index.makespan(current[0])
     best_heads = current[0]
     best_makespan = makespan
+    # swaps never move a pinned operation, so these positions stay movable
+    movable = [
+        (m, i)
+        for m, seq in enumerate(seqs)
+        for i in range(len(seq) - 1)
+        if seq[i] not in pins and seq[i + 1] not in pins
+    ]
     used = 0
     stale = 0
     while used < evals and stale <= patience and not out_of_time():
-        movable = [
-            (m, i)
-            for m, seq in enumerate(seqs)
-            for i in range(len(seq) - 1)
-            if seq[i] not in pins and seq[i + 1] not in pins
-        ]
-        critical = _critical(index, *current, makespan)
+        tails, critical = _critical(index, *current, makespan)
         candidates = [
             (m, i) for m, i in movable if critical[seqs[m][i]] and critical[seqs[m][i + 1]]
         ]
@@ -237,9 +276,13 @@ def improve(
         for m, i in candidates:
             if used >= evals or out_of_time():
                 break
-            seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
-            result = earliest_starts(index, seqs)
             used += 1
+            seq = seqs[m]
+            # a swap whose bound reaches the makespan cannot improve it
+            if _swap_bound(index, current[0], tails, seq, i) >= makespan:
+                continue
+            seq[i], seq[i + 1] = seq[i + 1], seq[i]
+            result = earliest_starts(index, seqs)
             if result is not None and index.makespan(result[0]) < makespan:
                 current, makespan = result, index.makespan(result[0])
                 improved = True
@@ -248,7 +291,7 @@ def improve(
                     best_heads = current[0]
                     stale = 0
                 break
-            seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
+            seq[i], seq[i + 1] = seq[i + 1], seq[i]
         if improved:
             continue
         stale += 1

@@ -155,7 +155,7 @@ def test_head_tail_critical_matches_tight_arc_search():
             for _ in range(4):
                 heads, order, machine_next = earliest_starts(index, seqs)
                 makespan = index.makespan(heads)
-                flags = expert._critical(index, heads, order, machine_next, makespan)
+                _, flags = expert._critical(index, heads, order, machine_next, makespan)
                 reference = tight_arc_critical(index, seqs, heads)
                 assert {o for o, c in enumerate(flags) if c} == reference
                 assert critical_pairs(seqs, reference) == [
@@ -173,6 +173,43 @@ def test_head_tail_critical_matches_tight_arc_search():
                     if earliest_starts(index, seqs) is None:
                         seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
     assert checked >= 50
+
+
+def test_swap_bound_is_a_path_length_after_every_acyclic_swap():
+    """The screen's bound is the longest path through the swapped pair, so
+    it never exceeds the makespan that a full re-timing finds."""
+    rng = np.random.default_rng(29)
+    checked = tight = 0
+    for trial in range(24):
+        if trial % 3 == 2:
+            inst = uneven_instance(int(rng.integers(4, 12)), int(rng.integers(2, 7)), rng)
+        else:
+            inst = generate_instance(int(rng.integers(3, 12)), int(rng.integers(2, 8)),
+                                     seed=int(rng.integers(1 << 30)))
+        base = greedy_rollout(inst, RulePolicy(("fifo", "spt", "mtwr")[trial % 3]))
+        if trial % 2:  # a schedule from a search with its first half pinned
+            pinned = {(j, k) for j, ops in enumerate(inst.jobs) for k in range(len(ops) // 2)}
+            base = improve(inst, base, evals=100, seed=trial, pinned=pinned)
+        index = OperationIndex.of(inst)
+        seqs = machine_sequences(inst, base)
+        heads, order, machine_next = earliest_starts(index, seqs)
+        tails, _ = expert._critical(index, heads, order, machine_next, index.makespan(heads))
+        for seq in seqs:
+            for i in range(len(seq) - 1):
+                bound = expert._swap_bound(index, heads, tails, seq, i)
+                u, v = seq[i], seq[i + 1]
+                seq[i], seq[i + 1] = v, u
+                result = earliest_starts(index, seqs)
+                seq[i], seq[i + 1] = u, v
+                if result is None:
+                    continue
+                after = index.makespan(result[0])
+                new_tails, _ = expert._critical(index, *result, after)
+                through = [result[0][o] + index.proc[o] + new_tails[o] for o in (u, v)]
+                assert bound == max(through) <= after
+                checked += 1
+                tight += bound == after
+    assert checked >= 400 and tight >= 100
 
 
 def test_improve_never_worsens():
@@ -278,6 +315,18 @@ def test_improve_respects_pins():
         assert [j for _, j in sorted(by_machine_base[m])] == [
             j for _, j in sorted(by_machine_out[m])
         ]
+
+
+def test_improve_rejects_pins_outside_the_instance():
+    inst = uneven_instance(4, 3, np.random.default_rng(2))
+    base = greedy_rollout(inst, RulePolicy("spt"))
+    n0 = len(inst.jobs[0])
+    for pin in [(0, n0), (0, -1), (-1, 0), (inst.job_count, 0), (1, 10**6)]:
+        with pytest.raises(ValueError, match="not in the instance"):
+            improve(inst, base, evals=10, pinned={pin})
+    # the last operation of every job is a valid pin
+    last = {(j, len(ops) - 1) for j, ops in enumerate(inst.jobs)}
+    assert validate(inst, improve(inst, base, evals=10, pinned=last))
 
 
 # -- prefix completion -------------------------------------------------

@@ -1,5 +1,6 @@
 """Pins the package's schedules across refactors: one digest over greedy
-rule schedules, a budgeted local search and the exact solver.
+rule schedules, a budgeted local search and the exact solver, and one over
+the local search at every ta-like size and a warm-started prefix completion.
 
 Every input here is built and dispatched with integer arithmetic and
 PCG64 draws only, so the digest does not depend on the platform. A change
@@ -10,20 +11,28 @@ the new digest with the change that explains it.
 import hashlib
 
 from cpshop.benchmarks import TA_LIKE_SIZES, dataset
-from cpshop.expert import improve, solve_exact
+from cpshop.env import JobShopEnv
+from cpshop.expert import ExpertConfig, complete_prefix, improve, solve_exact
 from cpshop.instances import generate_instance
-from cpshop.rules import RULES, RulePolicy, greedy_rollout
+from cpshop.rules import RULES, RulePolicy, greedy_rollout, masked_argmax
 
 EXPECTED_DIGEST = "30d78fa8dcdba0bc01601461be375eced0e563a5bf806d43ddf078f1b53d1c1b"
+LOCAL_SEARCH_DIGEST = "461e45df0eb9bc83cc336045f20f2f84dcafc84d4ad1632bd6241a1d7e5d87c8"
+
+
+def ta_like_firsts(sizes=TA_LIKE_SIZES) -> list:
+    """The first ta-like instance of each of ``sizes``."""
+    ta = dataset("ta-like")
+    firsts, index = [], 0
+    for _, _, count in sizes:
+        firsts.append(ta[index])
+        index += count
+    return firsts
 
 
 def schedules() -> list:
-    ta = dataset("ta-like")
     # the first instance of each of the three smallest sizes
-    firsts, index = [], 0
-    for _, _, count in TA_LIKE_SIZES[:3]:
-        firsts.append(ta[index])
-        index += count
+    firsts = ta_like_firsts(TA_LIKE_SIZES[:3])
     out = [
         greedy_rollout(inst, RulePolicy(rule), use_vector=vector)
         for inst in firsts
@@ -39,3 +48,34 @@ def schedules() -> list:
 def test_schedules_match_the_recorded_digest():
     digest = hashlib.sha256(repr(schedules()).encode()).hexdigest()
     assert digest == EXPECTED_DIGEST
+
+
+def local_search_schedules() -> list:
+    """``improve`` under an evals budget from ``mtwr`` at every ta-like
+    size, then ``complete_prefix`` of a 30-step ``spt`` prefix on 15x15,
+    pinned and warm-started by the whole ``spt`` episode (shorter than the
+    ``mtwr`` completion of that prefix, so the warm start is taken)."""
+    firsts = ta_like_firsts()
+    out = [
+        improve(inst, greedy_rollout(inst, RulePolicy("mtwr")), evals=500, seed=1)
+        for inst in firsts
+    ]
+    inst, policy = firsts[0], RulePolicy("spt")
+    env = JobShopEnv(inst)
+    obs = env.reset()
+    actions = []
+    while not env.done:
+        actions.append(masked_argmax(policy.logits(obs), obs.mask))
+        obs = env.step(actions[-1]).observation
+    cut = JobShopEnv(inst)
+    cut.reset()
+    for action in actions[:30]:
+        cut.step(action)
+    config = ExpertConfig(improve_evals=500, seed=3)
+    out.append(complete_prefix(inst, cut, config=config, warm=env.solution()))
+    return out
+
+
+def test_local_search_matches_the_recorded_digest():
+    digest = hashlib.sha256(repr(local_search_schedules()).encode()).hexdigest()
+    assert digest == LOCAL_SEARCH_DIGEST
