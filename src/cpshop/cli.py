@@ -71,17 +71,18 @@ def _load_method(spec: str, actor_count: int):
         except ValueError as exc:
             raise DataError(str(exc)) from None
         policy = NetPolicy(params, net_config)
+        # every horizon above next_ops gives training's observations
+        window = {"horizon": net_config.next_ops + 1, "next_ops": net_config.next_ops}
         if kind == "policy":
 
             def solve(instance: Instance, seed: int):
-                return greedy_rollout(instance, policy, next_ops=net_config.next_ops)
+                return greedy_rollout(instance, policy, **window)
 
         else:
 
             def solve(instance: Instance, seed: int):
                 return ensemble_solve(
-                    instance, policy, actor_count=actor_count, seed=seed,
-                    next_ops=net_config.next_ops,
+                    instance, policy, actor_count=actor_count, seed=seed, **window
                 ).solution
 
         return solve

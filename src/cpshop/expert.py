@@ -15,10 +15,13 @@ is first screened in O(1): the current heads and tails give the longest
 path through the swapped pair, and a swap whose path already reaches the
 makespan is rejected. That path exists in the swapped graph whenever the
 swap is acyclic, and a cyclic swap is rejected anyway, so the screen
-cannot change a result. The other candidates and every perturbation are
-re-timed by ``cpshop.model.earliest_starts``, as in ``compress``. Pinned
-operations are never moved, which supports completing a frozen schedule
-prefix.
+cannot change a result. A swap that passes is then rejected unless every
+longest path runs through its arc (van Laarhoven, Aarts & Lenstra 1992),
+checked against the spans of the critical operations: otherwise a longest
+path survives the swap. So only swaps that improve and the perturbations
+are re-timed, by ``cpshop.model.earliest_starts`` as in ``compress``.
+Pinned operations are never moved, which supports completing a frozen
+schedule prefix.
 
 ``complete_prefix`` turns a partial dispatch into a full high-quality
 schedule: it continues an environment stepped to the cut, finishes a copy
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -185,13 +189,18 @@ def solve_exact(
 def _critical(index: OperationIndex, heads, order, machine_next, makespan):
     """Tails (longest path from each operation's end to the sink, by one
     reverse pass over ``order``) and whether each operation lies on a
-    longest path: head + p + tail equals the makespan."""
+    longest path: head + p + tail equals the makespan. The tails feed the
+    head/tail screen of the candidate swaps, and the critical flags the
+    candidates and the spans of the longest-path test."""
     proc, job_next = index.proc, index.job_next
     tails = [0] * len(proc)
     for o in reversed(order):
-        for succ in (job_next[o], machine_next[o]):
-            if succ >= 0 and proc[succ] + tails[succ] > tails[o]:
-                tails[o] = proc[succ] + tails[succ]
+        succ = job_next[o]
+        tail = proc[succ] + tails[succ] if succ >= 0 else 0
+        succ = machine_next[o]
+        if succ >= 0 and proc[succ] + tails[succ] > tail:
+            tail = proc[succ] + tails[succ]
+        tails[o] = tail
     return tails, [h + p + t == makespan for h, p, t in zip(heads, proc, tails)]
 
 
@@ -222,6 +231,24 @@ def _swap_bound(index: OperationIndex, heads, tails, seq, i) -> int:
         into_u + proc[u] + tail_u,
         head_v + proc[v] + max(from_v, proc[u] + tail_u),
     )
+
+
+def _on_every_longest_path(index: OperationIndex, heads, spans, u, v) -> bool:
+    """Whether every longest path runs the machine arc ``u -> v``, given
+    ``spans``, the ``(head, end)`` of every critical operation (van
+    Laarhoven, Aarts & Lenstra 1992).
+
+    A longest path's operations run back to back from 0 to the makespan,
+    so one of them covers ``T = heads[v]``, end points included. On a path
+    through a tight arc ``u -> v`` only ``u`` and ``v`` do. So the arc is on
+    every longest path exactly when it is tight and no other critical
+    operation covers ``T``. A longest path that avoids the arc survives the
+    swap, at least as long, so the makespan cannot fall. When none avoids
+    it, every path that does not meet ``u`` or ``v`` is shorter than the
+    makespan, so a swap that ``_swap_bound`` passes does lower it.
+    """
+    t = heads[v]
+    return heads[u] + index.proc[u] == t and sum(h <= t <= e for h, e in spans) == 2
 
 
 def improve(
@@ -272,6 +299,8 @@ def improve(
         candidates = [
             (m, i) for m, i in movable if critical[seqs[m][i]] and critical[seqs[m][i + 1]]
         ]
+        heads = current[0]
+        spans = None  # the critical operations' (head, end), built on first use
         improved = False
         for m, i in candidates:
             if used >= evals or out_of_time():
@@ -279,19 +308,25 @@ def improve(
             used += 1
             seq = seqs[m]
             # a swap whose bound reaches the makespan cannot improve it
-            if _swap_bound(index, current[0], tails, seq, i) >= makespan:
+            if _swap_bound(index, heads, tails, seq, i) >= makespan:
+                continue
+            if spans is None:
+                spans = [(h, h + p) for h, p in compress(zip(heads, index.proc), critical)]
+            # nor can one that some longest path avoids
+            if not _on_every_longest_path(index, heads, spans, seq[i], seq[i + 1]):
                 continue
             seq[i], seq[i + 1] = seq[i + 1], seq[i]
             result = earliest_starts(index, seqs)
-            if result is not None and index.makespan(result[0]) < makespan:
-                current, makespan = result, index.makespan(result[0])
-                improved = True
-                if makespan < best_makespan:
-                    best_makespan = makespan
-                    best_heads = current[0]
-                    stale = 0
-                break
-            seq[i], seq[i + 1] = seq[i + 1], seq[i]
+            # reversing an arc of every longest path leaves no cycle, and
+            # the screen bounds the new paths through it below the makespan
+            assert result is not None and index.makespan(result[0]) < makespan
+            current, makespan = result, index.makespan(result[0])
+            improved = True
+            if makespan < best_makespan:
+                best_makespan = makespan
+                best_heads = current[0]
+                stale = 0
+            break
         if improved:
             continue
         stale += 1

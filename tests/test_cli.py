@@ -19,8 +19,8 @@ from cpshop.instances import (
     write_solution,
 )
 from cpshop.model import Solution, validate
-from cpshop.net import PolicyConfig, init_params, save_params
-from cpshop.rules import RulePolicy, greedy_rollout
+from cpshop.net import NetPolicy, PolicyConfig, init_params, save_params
+from cpshop.rules import RulePolicy, ensemble_solve, greedy_rollout
 from cpshop.train import TrainConfig
 
 
@@ -178,6 +178,31 @@ def test_solve_with_policy_and_ensemble(tmp_path, capsys):
         code = main(["solve", "--instance", str(ipath), "--method", method, "--actors", "3"])
         assert code == EXIT_OK
         assert "makespan" in capsys.readouterr().out
+
+
+def test_solve_policy_sees_the_training_window_past_ten_ops(tmp_path, capsys):
+    # a checkpoint records next_ops only; next_ops=12 needs a horizon of 13,
+    # above the rollout default of 10, or slots 10-12 turn into sinks
+    config = PolicyConfig(next_ops=12)
+    params = init_params(config, seed=0)
+    ckpt = tmp_path / "net12.ckpt"
+    save_params(params, ckpt, config)
+    policy = NetPolicy(params, config)
+    ipath, out = tmp_path / "inst.txt", tmp_path / "sol.txt"
+    for seed in range(3):
+        inst = generate_instance(6, 12, seed=seed)
+        write_instance(inst, ipath, "taillard")
+        expected = {
+            "policy": greedy_rollout(inst, policy, horizon=13, next_ops=12),
+            "ensemble": ensemble_solve(inst, policy, actor_count=3, seed=1, horizon=13,
+                                       next_ops=12).solution,
+        }
+        for kind, solution in expected.items():
+            code = main(["solve", "--instance", str(ipath), "--method", f"{kind}:{ckpt}",
+                         "--actors", "3", "--seed", "1", "--out", str(out)])
+            assert code == EXIT_OK
+            assert read_solution(out).starts == solution.starts
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])

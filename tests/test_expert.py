@@ -212,6 +212,92 @@ def test_swap_bound_is_a_path_length_after_every_acyclic_swap():
     assert checked >= 400 and tight >= 100
 
 
+def test_cover_test_passes_exactly_the_improving_screened_swaps():
+    """Past the head/tail screen, a critical swap improves exactly when every
+    longest path runs through its arc."""
+    rng = np.random.default_rng(31)
+    passed = improving = 0
+    for trial in range(30):
+        if trial % 3 == 2:
+            inst = uneven_instance(int(rng.integers(4, 12)), int(rng.integers(2, 7)), rng)
+        else:
+            # short operations tie often, so many swaps some longest path avoids
+            inst = generate_instance(int(rng.integers(4, 16)), int(rng.integers(3, 11)),
+                                     seed=int(rng.integers(1 << 30)), high=(5, 99)[trial % 4 == 3])
+        index = OperationIndex.of(inst)
+        base = greedy_rollout(inst, RulePolicy(("fifo", "spt", "mtwr")[trial % 3]))
+        if trial % 2:  # a schedule from a search with its first half pinned
+            pinned = {(j, k) for j, ops in enumerate(inst.jobs) for k in range(len(ops) // 2)}
+            base = improve(inst, base, evals=100, seed=trial, pinned=pinned)
+        seqs = machine_sequences(inst, base)
+        for _ in range(6):
+            heads, order, machine_next = earliest_starts(index, seqs)
+            makespan = index.makespan(heads)
+            tails, critical = expert._critical(index, heads, order, machine_next, makespan)
+            spans = [(h, h + p) for h, p, c in zip(heads, index.proc, critical) if c]
+            for m, i in critical_pairs(seqs, {o for o, c in enumerate(critical) if c}):
+                seq = seqs[m]
+                if expert._swap_bound(index, heads, tails, seq, i) >= makespan:
+                    continue
+                u, v = seq[i], seq[i + 1]
+                covered = expert._on_every_longest_path(index, heads, spans, u, v)
+                seq[i], seq[i + 1] = v, u
+                result = earliest_starts(index, seqs)
+                seq[i], seq[i + 1] = u, v
+                better = result is not None and index.makespan(result[0]) < makespan
+                assert covered == better
+                passed += 1
+                improving += better
+            # then perturb: a few random adjacent swaps that keep the graph acyclic
+            for _ in range(3):
+                seq = seqs[int(rng.integers(len(seqs)))]
+                if len(seq) > 1:
+                    i = int(rng.integers(len(seq) - 1))
+                    seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                    if earliest_starts(index, seqs) is None:
+                        seq[i], seq[i + 1] = seq[i + 1], seq[i]
+    assert improving >= 200 and passed - improving >= 50
+
+
+def test_improve_retimes_a_candidate_only_when_it_improves(monkeypatch):
+    # every re-timing that no perturbation draw precedes is a screened
+    # candidate, and each of those lowers the makespan
+    inst = generate_instance(15, 15, seed=3)
+    base = greedy_rollout(inst, RulePolicy("mtwr"))
+    draws, calls = [], []
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def integers(self, *args):
+            draws.append(len(calls))
+            return self.rng.integers(*args)
+
+    def counting(index, seqs, _evaluate=expert.earliest_starts):
+        result = _evaluate(index, seqs)
+        calls.append(None if result is None else index.makespan(result[0]))
+        return result
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    monkeypatch.setattr(expert, "earliest_starts", counting)
+    out = improve(inst, base, evals=3000, patience=20, seed=4)
+    assert out.makespan < base.makespan
+    perturbations = set(draws)
+    current = calls[0]  # the start
+    candidates = 0
+    for n, makespan in enumerate(calls[1:], 1):
+        if n in perturbations:
+            if makespan is not None:  # an acyclic perturbation is kept
+                current = makespan
+            continue
+        assert makespan is not None and makespan < current
+        current = makespan
+        candidates += 1
+    assert candidates >= 10 and len(perturbations) >= 10
+
+
 def test_improve_never_worsens():
     rng = np.random.default_rng(3)
     for trial in range(8):
