@@ -21,8 +21,10 @@ observation and the action mask are derived together from one
 computation of the current start lower bounds, and cached until the
 next transition.
 
-There is no per-step reward: an episode ends when ``done`` turns true,
-and its schedule and makespan are read from ``solution()``.
+An environment is at its first decision state once built; ``reset``
+restarts the episode. There is no per-step reward: an episode ends when
+``done`` turns true, and its schedule and makespan are read from
+``solution()``.
 """
 
 from __future__ import annotations
@@ -92,8 +94,6 @@ class JobShopEnv:
         self.horizon = horizon
         self.next_ops = next_ops
         self.time_scale = instance.machine_load_bound()
-        self.model: ModelState | None = None
-        self.t = 0
         # padded rows (source, operations, 2 + next_ops sinks): slot s at cursor
         # c is column c + s. Padding, masked out of observations, has machine 0
         jc, max_ops = instance.proc.shape
@@ -105,10 +105,12 @@ class JobShopEnv:
         proc[:, ops], machine[:, ops] = instance.proc, instance.machine
         self._kind, self._proc, self._machine = kind.ravel(), proc.ravel(), machine.ravel()
         self._grid = np.arange(jc, dtype=np.int64)[:, None] * width + np.arange(2 + next_ops)
+        self.reset()
 
     # -- lifecycle -------------------------------------------------------
 
     def reset(self) -> Observation:
+        """Restart the episode with nothing dispatched; return its first observation."""
         model = self.model = ModelState(self.instance)
         # every first operation can start at 0, so the clock opens at the
         # earliest first-operation end
@@ -122,17 +124,12 @@ class JobShopEnv:
         cached observation are shared, since each transition replaces the
         observation and none mutates either."""
         twin = copy.copy(self)
-        twin.model = self._require_model().copy()
+        twin.model = self.model.copy()
         return twin
-
-    def _require_model(self) -> ModelState:
-        if self.model is None:
-            raise RuntimeError("call reset() first")
-        return self.model
 
     @property
     def done(self) -> bool:
-        return self._require_model().complete
+        return self.model.complete
 
     @property
     def noop_action(self) -> int:
@@ -194,7 +191,6 @@ class JobShopEnv:
         )
 
     def observe(self) -> Observation:
-        self._require_model()
         return self._obs
 
     # -- transitions -----------------------------------------------------
@@ -218,6 +214,8 @@ class JobShopEnv:
         if not self._mask[action]:
             if action == self.noop_action:
                 raise ActionError("No-Op rejected: it would skip the last remaining decision")
+            if self.model.cursor[action] == self.model.n_ops[action]:
+                raise ActionError(f"job {action} has no operation left")
             raise ActionError(
                 f"job {action} is not dispatchable at t={self.t} "
                 f"(start lower bound {int(self.model.current_lbs()[action])})"
@@ -238,7 +236,7 @@ class JobShopEnv:
         """
         if self.done:
             raise ActionError("episode is over")
-        model = self._require_model()
+        model = self.model
         order = np.asarray(priority, dtype=np.int64)
         if order.shape != (self.instance.job_count,) or (
             np.sort(order) != np.arange(self.instance.job_count)
@@ -269,4 +267,4 @@ class JobShopEnv:
         return self._result(tuple(applied))
 
     def solution(self) -> Solution:
-        return self._require_model().solution()
+        return self.model.solution()

@@ -40,16 +40,7 @@ import numpy as np
 from cpshop.env import JobShopEnv
 from cpshop.instances import Instance
 from cpshop.model import OperationIndex, Solution, earliest_starts, machine_sequences, validate
-
-
-@dataclass(frozen=True)
-class ExpertConfig:
-    """Step budgets for the expert's local search; they make runs
-    deterministic."""
-
-    improve_evals: int = 4000
-    patience: int = 60
-    seed: int = 0
+from cpshop.rules import RulePolicy, rollout
 
 
 @dataclass(frozen=True)
@@ -355,8 +346,8 @@ def complete_prefix(
     instance: Instance,
     cut: JobShopEnv,
     *,
-    config: ExpertConfig = ExpertConfig(),
     warm: Solution | None = None,
+    **budget,
 ) -> Solution:
     """Best-effort completion of a dispatched prefix into a full schedule.
 
@@ -364,10 +355,9 @@ def complete_prefix(
     unchanged. The remainder is filled greedily by most work remaining
     (``mtwr``) on a copy of it, replaced by the warm-start completion when
     that is shorter and keeps the prefix, then polished with the prefix
-    pinned.
+    pinned. ``budget`` holds ``improve``'s ``evals``, ``patience`` and
+    ``seed`` keywords, passed on as given.
     """
-    from cpshop.rules import RulePolicy, rollout
-
     if cut.done:
         return cut.solution()
     pinned = {(j, k) for j in range(instance.job_count) for k in range(cut.model.cursor[j])}
@@ -375,11 +365,4 @@ def complete_prefix(
     if warm is not None and warm.makespan < base.makespan:
         if all(warm.starts[j][k] == base.starts[j][k] for j, k in pinned):
             base = warm
-    return improve(
-        instance,
-        base,
-        evals=config.improve_evals,
-        patience=config.patience,
-        seed=config.seed,
-        pinned=frozenset(pinned),
-    )
+    return improve(instance, base, pinned=frozenset(pinned), **budget)

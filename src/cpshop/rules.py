@@ -1,9 +1,11 @@
 """Dispatching policies: static priority rules, rollouts, and ensembles.
 
 A policy maps an observation to one logit per action (jobs then No-Op).
-``rollout`` turns a policy into a greedy schedule; ``sample_lockstep``
-samples the episodes of several actors at once, each at its own
-temperature; the ensemble samples one per actor and keeps the best.
+``rollout`` turns a policy into a greedy schedule, from a new
+environment or one stepped part way; ``sample_lockstep`` samples the
+episodes of several actors at once, each from its environment's current
+state at its own temperature; the ensemble samples one per actor from
+new environments and keeps the best.
 """
 
 from __future__ import annotations
@@ -109,13 +111,11 @@ def rollout(
     """Run one greedy episode with single actions.
 
     Pass ``env`` to continue a partially dispatched episode instead of
-    starting from a fresh reset.
+    starting a new one.
     """
     if env is None:
         env = JobShopEnv(instance, horizon=horizon, next_ops=next_ops)
-        obs = env.reset()
-    else:
-        obs = env.observe()
+    obs = env.observe()
     while not env.done:
         obs = env.step(masked_argmax(policy.logits(obs), obs.mask)).observation
     solution = env.solution()
@@ -129,14 +129,15 @@ def sample_lockstep(
     temperatures: list[float],
     record: bool = False,
 ) -> list[Rollout]:
-    """Reset the environments and sample one episode on each, in lockstep.
+    """Sample one episode on each environment from its current state, in
+    lockstep.
 
     Each decision round makes one ``logits_of`` call (one row of logits per
     observation) and one row-wise softmax over the actors still running;
     each actor then draws from its own generator, so its episode equals
     the one it would sample alone. ``record`` keeps observations and actions.
     """
-    current = [env.reset() for env in envs]
+    current = [env.observe() for env in envs]
     episodes = [Rollout(solution=None, makespan=0) for _ in envs]  # type: ignore[arg-type]
     temps = np.asarray(temperatures, dtype=np.float64)[:, None]
     running = [a for a, env in enumerate(envs) if not env.done]
@@ -172,7 +173,7 @@ def greedy_rollout(
     if not use_vector:
         return rollout(instance, policy, horizon=horizon, next_ops=next_ops).solution
     env = JobShopEnv(instance, horizon=horizon, next_ops=next_ops)
-    obs = env.reset()
+    obs = env.observe()
     while not env.done:
         logits = policy.logits(obs)
         order = np.argsort(-logits[:-1], kind="stable")

@@ -24,14 +24,14 @@ from __future__ import annotations
 import csv
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from cpshop import autodiff as ad
 from cpshop.env import JobShopEnv, Observation
-from cpshop.expert import ExpertConfig, complete_prefix
+from cpshop.expert import complete_prefix
 from cpshop.instances import Instance
 from cpshop.model import Solution
 from cpshop.net import (
@@ -199,12 +199,14 @@ def generate_demos(
     instances: list[Instance],
     params: dict[str, Tensor],
     actor_count: int,
-    expert_budget: ExpertConfig,
+    evals: int,
+    patience: int,
     seed,
     horizon: int = 10,
     next_ops: int = 3,
 ) -> list[DemoBatch]:
-    """One wave of partial expert demonstrations (deterministic in seed)."""
+    """One wave of partial expert demonstrations (deterministic in seed);
+    ``evals`` and ``patience`` bound each expert completion's search."""
     if not instances:
         raise ValueError("generate_demos needs at least one instance")
     if actor_count < 1:
@@ -232,18 +234,16 @@ def generate_demos(
             # of it and realize_solution continues from it, after the
             # prefix whose observations the actor's episode already holds
             cut = JobShopEnv(instance, horizon=horizon, next_ops=next_ops)
-            cut.reset()
             for action in prefix:
                 cut.step(action)
             try:
                 expert_solution = complete_prefix(
                     instance,
                     cut,
-                    config=replace(
-                        expert_budget,
-                        seed=int(np.random.default_rng(actor_seqs[a]).integers(2**31)),
-                    ),
                     warm=episode.solution,
+                    evals=evals,
+                    patience=patience,
+                    seed=int(np.random.default_rng(actor_seqs[a]).integers(2**31)),
                 )
             except Exception as exc:
                 raise RuntimeError(
@@ -272,7 +272,6 @@ def generate_demos(
 def rollout_solution_of(episode: Rollout, instance: Instance) -> Solution:
     """Reconstruct the schedule an episode produced (episodes are replayable)."""
     env = JobShopEnv(instance)
-    env.reset()
     for action in episode.actions:
         env.step(action)
     return env.solution()
@@ -517,15 +516,12 @@ def train_loop(
 
     for epoch in range(resume_epoch + 1, config.epochs + 1):
         t0 = time.monotonic()
-        budget = ExpertConfig(
-            improve_evals=config.expert_evals_start + config.expert_evals_step * (epoch - 1),
-            patience=config.expert_patience,
-        )
         demos = generate_demos(
             instances,
             params,
             config.actor_count,
-            budget,
+            config.expert_evals_start + config.expert_evals_step * (epoch - 1),
+            config.expert_patience,
             seed=[config.seed, epoch],
             horizon=config.horizon,
             next_ops=config.next_ops,

@@ -353,10 +353,9 @@ def test_criterion_7_training_algebra():
     inst2 = generate_instance(4, 4, seed=78)
     params2 = init_params(seed=1)
     budget_cfg = TrainConfig(max_updates=10, minibatch_size=None, lr=0.5, kl_limit=1e-9)
-    from cpshop.expert import ExpertConfig
     from cpshop.train import generate_demos
 
-    demos2 = generate_demos([inst2], params2, 3, ExpertConfig(improve_evals=150, patience=10), seed=2)
+    demos2 = generate_demos([inst2], params2, 3, evals=150, patience=10, seed=2)
     stats2 = run_wave(train_feedback, params2, demos2, budget_cfg)
     checks.append(
         ("kl stop", (not stats2.skipped) and stats2.applied_updates == 1

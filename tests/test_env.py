@@ -71,6 +71,29 @@ def test_reset_observation_layout():
     assert obs.time_scale == env.instance.machine_load_bound()
 
 
+def test_a_new_env_observes_and_steps_without_a_reset():
+    inst = generate_instance(6, 5, seed=3)
+    env, restarted = JobShopEnv(inst), JobShopEnv(inst)
+    obs = env.observe()
+    assert obs_bytes(obs) == obs_bytes(restarted.reset())
+    rng = np.random.default_rng(0)
+    while not env.done:
+        action = int(rng.choice(np.flatnonzero(obs.mask)))
+        obs = env.step(action).observation
+        assert obs_bytes(obs) == obs_bytes(restarted.step(action).observation)
+    assert validate(inst, env.solution()) and env.solution() == restarted.solution()
+
+
+def test_reset_after_steps_restarts_the_episode():
+    env = JobShopEnv(generate_instance(6, 5, seed=4))
+    first = obs_bytes(env.observe())
+    for _ in range(7):
+        env.step(int(np.flatnonzero(env.observe().mask)[0]))
+    assert obs_bytes(env.observe()) != first
+    assert obs_bytes(env.reset()) == first
+    assert env.model.fixed_count == 0 and obs_bytes(env.observe()) == first
+
+
 def test_full_episode_walkthrough():
     env = tiny_env()
     env.reset()
@@ -121,10 +144,12 @@ def test_noop_unavailable_when_no_later_event():
 # -- errors ------------------------------------------------------------
 
 
-def test_step_requires_reset():
-    env = tiny_env()
-    with pytest.raises(RuntimeError, match="reset"):
-        env.step(0)
+def test_finished_job_is_rejected_as_finished():
+    # job 1 has one operation; once it is dispatched no bound applies to it
+    env = JobShopEnv(parse_instance_text("2 2\n0 3 1 2\n1 4\n", "orlib"))
+    env.step(1)
+    with pytest.raises(ActionError, match="job 1 has no operation left"):
+        env.step(1)
 
 
 def test_action_out_of_range():
@@ -327,11 +352,6 @@ def test_copy_steps_independently_of_its_original(jobs, machines, prefix):
     for action, expected in zip(actions, seen):
         assert obs_bytes(env.step(action).observation) == expected
     assert env.solution() == twin.solution()
-
-
-def test_copy_requires_reset():
-    with pytest.raises(RuntimeError, match="reset"):
-        tiny_env().copy()
 
 
 def test_one_bound_computation_per_step(monkeypatch):

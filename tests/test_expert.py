@@ -6,12 +6,7 @@ import pytest
 
 from cpshop import expert, model
 from cpshop.env import JobShopEnv
-from cpshop.expert import (
-    ExpertConfig,
-    complete_prefix,
-    improve,
-    solve_exact,
-)
+from cpshop.expert import complete_prefix, improve, solve_exact
 from cpshop.instances import generate_instance, parse_instance_text
 from cpshop.model import (
     OperationIndex,
@@ -437,7 +432,7 @@ def test_complete_prefix_empty_prefix():
     inst = generate_instance(4, 4, seed=6)
     cut = JobShopEnv(inst)
     cut.reset()
-    sol = complete_prefix(inst, cut, config=ExpertConfig(improve_evals=300))
+    sol = complete_prefix(inst, cut, evals=300)
     assert validate(inst, sol)
 
 
@@ -451,7 +446,7 @@ def test_complete_prefix_full_prefix_is_identity():
 def test_complete_prefix_preserves_prefix_starts():
     for inst in (generate_instance(5, 5, seed=8), uneven_instance(8, 5, np.random.default_rng(8))):
         cut, fixed = random_prefix(inst, 6, seed=1)
-        sol = complete_prefix(inst, cut, config=ExpertConfig(improve_evals=500))
+        sol = complete_prefix(inst, cut, evals=500)
         assert validate(inst, sol)
         for j, k, s in fixed:
             assert sol.starts[j][k] == s
@@ -465,7 +460,7 @@ def test_complete_prefix_leaves_the_cut_unchanged():
                                  cut.model.prev_end, cut.model.release, cut.model.starts)]
     state = (cut.t, cut.model.fixed_count)
     warm = greedy_rollout(inst, RulePolicy("spt"))
-    complete_prefix(inst, cut, config=ExpertConfig(improve_evals=200), warm=warm)
+    complete_prefix(inst, cut, evals=200, warm=warm)
     assert cut.observe() is obs and (cut.t, cut.model.fixed_count) == state
     after = (obs.features, obs.kinds, obs.mask, cut.model.cursor, cut.model.prev_end,
              cut.model.release, cut.model.starts)
@@ -478,14 +473,14 @@ def test_complete_prefix_warm_start_can_win():
     warm = improve(inst, greedy_rollout(inst, RulePolicy("mtwr")), evals=2000, seed=0)
     cut = JobShopEnv(inst)
     cut.reset()
-    sol = complete_prefix(inst, cut, config=ExpertConfig(improve_evals=0), warm=warm)
+    sol = complete_prefix(inst, cut, evals=0, warm=warm)
     assert sol.makespan <= warm.makespan
 
 
 def test_complete_prefix_not_worse_than_greedy_completion():
     inst = generate_instance(6, 6, seed=10)
     cut, _ = random_prefix(inst, 4, seed=2)
-    sol = complete_prefix(inst, cut, config=ExpertConfig(improve_evals=600))
+    sol = complete_prefix(inst, cut, evals=600)
     from cpshop.rules import rollout
 
     greedy = rollout(inst, RulePolicy("mtwr"), env=cut.copy()).solution

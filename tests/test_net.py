@@ -3,7 +3,6 @@ import pytest
 
 import cpshop.net
 from cpshop.env import JobShopEnv
-from cpshop.expert import ExpertConfig
 from cpshop.instances import generate_instance
 from cpshop.model import validate
 from cpshop.net import (
@@ -112,8 +111,7 @@ def test_array_weights_give_the_tensor_pass_bytes(size, batch_size):
 def wave_batch():
     """Actor and expert observations of one demo wave, as training stacks them."""
     instances = [generate_instance(5, 5, seed=s) for s in (41, 42)]
-    budget = ExpertConfig(improve_evals=150, patience=10)
-    batches = generate_demos(instances, init_params(seed=0), 4, budget, seed=0)
+    batches = generate_demos(instances, init_params(seed=0), 4, evals=150, patience=10, seed=0)
     observations = [
         obs
         for b in batches

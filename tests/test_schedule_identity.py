@@ -12,7 +12,7 @@ import hashlib
 
 from cpshop.benchmarks import TA_LIKE_SIZES, dataset
 from cpshop.env import JobShopEnv
-from cpshop.expert import ExpertConfig, complete_prefix, improve, solve_exact
+from cpshop.expert import complete_prefix, improve, solve_exact
 from cpshop.instances import generate_instance
 from cpshop.rules import RULES, RulePolicy, greedy_rollout, masked_argmax
 
@@ -71,8 +71,7 @@ def local_search_schedules() -> list:
     cut.reset()
     for action in actions[:30]:
         cut.step(action)
-    config = ExpertConfig(improve_evals=500, seed=3)
-    out.append(complete_prefix(inst, cut, config=config, warm=env.solution()))
+    out.append(complete_prefix(inst, cut, evals=500, seed=3, warm=env.solution()))
     return out
 
 

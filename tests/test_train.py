@@ -5,7 +5,6 @@ import pytest
 
 import cpshop.train
 from cpshop.env import JobShopEnv
-from cpshop.expert import ExpertConfig
 from cpshop.instances import generate_instance
 from cpshop.model import compress, validate
 from cpshop.net import (
@@ -138,8 +137,9 @@ def test_solution_actions_handles_delays():
 def small_demo_wave(seed=0, actor_count=3):
     inst = generate_instance(4, 4, seed=31)
     params = init_params(seed=seed)
-    budget = ExpertConfig(improve_evals=150, patience=10)
-    return inst, params, generate_demos([inst], params, actor_count, budget, seed=seed)
+    return inst, params, generate_demos(
+        [inst], params, actor_count, evals=150, patience=10, seed=seed
+    )
 
 
 def test_generate_demos_shapes_and_ratios():
@@ -239,8 +239,7 @@ def test_generate_demos_batches_one_forward_per_decision_round(monkeypatch):
     monkeypatch.setattr(cpshop.train, "forward_logits", counting)
     instances = [generate_instance(4, 4, seed=31), generate_instance(5, 3, seed=32)]
     params = init_params(seed=0)
-    budget = ExpertConfig(improve_evals=20, patience=5)
-    batches = generate_demos(instances, params, 4, budget, seed=0)
+    batches = generate_demos(instances, params, 4, evals=20, patience=5, seed=0)
     longest = [max(len(d.actor.actions) for d in b.demos) for b in batches]
     assert len(calls) <= sum(longest)
     assert sum(calls) == sum(len(d.actor.actions) for b in batches for d in b.demos)
@@ -257,8 +256,7 @@ def test_generate_demos_warm_starts_from_the_actor_episode(monkeypatch):
 
     monkeypatch.setattr(cpshop.train, "complete_prefix", recording)
     instances = [generate_instance(4, 4, seed=31), generate_instance(5, 3, seed=32)]
-    budget = ExpertConfig(improve_evals=40, patience=5)
-    batches = generate_demos(instances, init_params(seed=0), 3, budget, seed=1)
+    batches = generate_demos(instances, init_params(seed=0), 3, evals=40, patience=5, seed=1)
     demos = [(b, d) for b in batches for d in b.demos]
     assert len(calls) == len(demos)
     for (instance, warm, solution), (batch, demo) in zip(calls, demos):
@@ -290,9 +288,11 @@ def test_generate_demos_steps_each_prefix_once(monkeypatch):
     monkeypatch.setattr(cpshop.train, "complete_prefix", recording)
     instances = [generate_instance(4, 4, seed=31), generate_instance(5, 3, seed=32)]
     actor_count = 3
-    budget = ExpertConfig(improve_evals=40, patience=5)
-    batches = generate_demos(instances, init_params(seed=0), actor_count, budget, seed=1)
-    # one reset for sampling and one for the cut, per actor
+    batches = generate_demos(
+        instances, init_params(seed=0), actor_count, evals=40, patience=5, seed=1
+    )
+    # every env settles once, when built: one for sampling and one for the
+    # cut, per actor
     assert len(resets) == 2 * actor_count * len(instances)
     demos = [(b, d) for b in batches for d in b.demos]
     assert len(cuts) == len(demos)
@@ -330,10 +330,10 @@ def test_update_survives_underflowed_action_probability():
 def test_generate_demos_rejects_empty():
     params = init_params(seed=0)
     with pytest.raises(ValueError):
-        generate_demos([], params, 2, ExpertConfig(), seed=0)
+        generate_demos([], params, 2, evals=4000, patience=60, seed=0)
     inst = generate_instance(3, 3, seed=1)
     with pytest.raises(ValueError):
-        generate_demos([inst], params, 0, ExpertConfig(), seed=0)
+        generate_demos([inst], params, 0, evals=4000, patience=60, seed=0)
 
 
 # -- feedback wave -----------------------------------------------------
