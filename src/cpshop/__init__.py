@@ -7,7 +7,7 @@ a benchmark CLI.
 """
 
 from cpshop.instances import Instance, Operation, generate_instance, parse_instance
-from cpshop.model import Solution, compress, is_compressed, validate
+from cpshop.model import Solution, compress, validate
 
 __all__ = [
     "Instance",
@@ -15,7 +15,6 @@ __all__ = [
     "Solution",
     "compress",
     "generate_instance",
-    "is_compressed",
     "parse_instance",
     "validate",
 ]

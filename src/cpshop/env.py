@@ -17,9 +17,9 @@ so in every non-terminal decision state at least one job action is
 available and No-Op is purely voluntary. Because every dispatch happens
 at the operation's start lower bound, terminal schedules are compressed
 by construction. After every transition the clock refresh, the
-observation and the action mask are derived together from one
-computation of the current start lower bounds, and cached until the
-next transition.
+observation and the action mask are derived together from the window,
+which is also the one place that computes every job's current start
+lower bound, and cached until the next transition.
 
 An environment is at its first decision state once built; ``reset``
 restarts the episode. There is no per-step reward: an episode ends when
@@ -138,8 +138,7 @@ class JobShopEnv:
     # -- derived decision state ------------------------------------------
 
     def _settle(self) -> None:
-        """Derive the decision state after a transition from one
-        computation of the current start lower bounds.
+        """Derive the decision state after a transition from the window.
 
         The window is read from the padded rows at each job's cursor; the
         slots past ``horizon`` become sinks in one slice write, since real
@@ -152,7 +151,6 @@ class JobShopEnv:
         model = self.model
         jc = self.instance.job_count
         alive = model.alive()
-        lbs = model.current_lbs()
         # slot 0 is the previous operation, slot 1 the current one, later
         # slots the upcoming ones
         slots = 2 + self.next_ops
@@ -160,6 +158,11 @@ class JobShopEnv:
         kinds = self._kind.take(cols)
         kinds[:, self.horizon + 1 :] = SLOT_SINK
         proc = self._proc.take(cols)
+        release = model.release.take(self._machine.take(cols))
+        # current start lower bounds: the later of the job's last end and
+        # its slot-1 machine's release. A finished job's slot 1 is padding,
+        # which every use below masks out
+        lbs = np.maximum(model.prev_end, release[:, 1])
         ends = (lbs + proc[:, 1])[alive]
         ready = alive & (lbs <= self.t)
         if alive.any() and not ready.any():
@@ -171,7 +174,6 @@ class JobShopEnv:
 
         # the previous operation's fixed start, then start lower bounds
         # chained from the current one
-        release = model.release.take(self._machine.take(cols))
         lb = np.empty_like(proc)
         lb[:, 0] = model.prev_end - proc[:, 0]
         lb[:, 1] = lbs
@@ -218,7 +220,7 @@ class JobShopEnv:
                 raise ActionError(f"job {action} has no operation left")
             raise ActionError(
                 f"job {action} is not dispatchable at t={self.t} "
-                f"(start lower bound {int(self.model.current_lbs()[action])})"
+                f"(start lower bound {int(self._obs.features[action, 1, F_LB])})"
             )
         if action == self.noop_action:
             self._advance_noop()
@@ -260,10 +262,11 @@ class JobShopEnv:
                     if release[m] <= t:
                         ended.append(job)
             # only a job whose operation this sweep ended by t can be ready
-            # again; the sweep visited them in priority order
+            # again; the sweep visited them in priority order, and the next
+            # sweep's release test completes their readiness test
             jobs = np.array(ended, dtype=np.int64)
             if ended:
-                jobs = jobs[model.alive().take(jobs) & (model.current_lbs(jobs) <= t)]
+                jobs = jobs[model.alive().take(jobs)]
         return self._result(tuple(applied))
 
     def solution(self) -> Solution:

@@ -103,10 +103,6 @@ class Instance:
     def total_operations(self) -> int:
         return int(self.n_ops.sum())
 
-    @property
-    def total_processing_time(self) -> int:
-        return int(self.proc.sum())
-
     def machine_load_bound(self) -> int:
         """Max over machines of total assigned work, a makespan lower bound."""
         return int(self.machine_loads.max())

@@ -4,11 +4,11 @@ The model stores, per job, a cursor to the current (first unfixed)
 operation, the end of the job's last fixed operation, and per machine its
 release time; its operation tables are the instance's own read-only
 arrays. The start lower bound of a job's current operation is the max of
-its predecessor's end and the release time of its machine; it is
-computed in :meth:`ModelState.current_lbs` for all jobs (or a subset) at
-once and in :meth:`ModelState.fix_start` for the fixed job. This is exact
-for the chronological lower-bound fixing performed by the dispatching
-environment.
+its predecessor's end and the release time of its machine; the model
+computes it only in :meth:`ModelState.fix_start`, for the job it fixes,
+and the dispatching environment reads it for every job off its settled
+window. This is exact for the chronological lower-bound fixing that
+environment performs.
 
 Also provides solution validation and the package's one evaluator of
 earliest starts under fixed machine orders. It numbers the operations job
@@ -61,13 +61,10 @@ class ModelState:
         self.n_ops, self.proc, self.machine = instance.n_ops, instance.proc, instance.machine
         self.op_count = instance.total_operations
         jc, max_ops = self.proc.shape
-        self.row_start = np.arange(jc, dtype=np.int64) * max_ops
         self.cursor = np.zeros(jc, dtype=np.int64)
         self.prev_end = np.zeros(jc, dtype=np.int64)
         self.release = np.zeros(instance.machine_count, dtype=np.int64)
         self.starts = np.full((jc, max_ops), NOT_FIXED, dtype=np.int64)
-        # finite stand-in for an unbounded start upper bound
-        self.ub_sentinel = instance.total_processing_time
         self.fixed_count = 0
 
     def copy(self) -> ModelState:
@@ -90,21 +87,6 @@ class ModelState:
     def alive(self) -> np.ndarray:
         """Boolean mask of jobs that still have unfixed operations."""
         return self.cursor < self.n_ops
-
-    def current_lbs(self, jobs: np.ndarray | None = None) -> np.ndarray:
-        """Start lower bound of the current operation of every job, or of
-        each of ``jobs``.
-
-        Finished jobs get the upper-bound sentinel.
-        """
-        cursor, n_ops, prev_end, row_start = self.cursor, self.n_ops, self.prev_end, self.row_start
-        if jobs is not None:
-            cursor, n_ops = cursor.take(jobs), n_ops.take(jobs)
-            prev_end, row_start = prev_end.take(jobs), row_start.take(jobs)
-        alive = cursor < n_ops
-        mach = self.machine.ravel().take(row_start + np.where(alive, cursor, 0))
-        lbs = np.maximum(prev_end, self.release.take(mach))
-        return np.where(alive, lbs, self.ub_sentinel)
 
     # -- transitions -----------------------------------------------------
 
@@ -271,8 +253,3 @@ def compress(instance: Instance, solution: Solution) -> Solution:
     index = OperationIndex.of(instance)
     heads, _, _ = earliest_starts(index, machine_sequences(instance, solution))
     return index.solution(solution.instance_name, heads)
-
-
-def is_compressed(instance: Instance, solution: Solution) -> bool:
-    """True iff compression leaves the solution unchanged."""
-    return compress(instance, solution) == solution

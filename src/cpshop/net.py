@@ -205,6 +205,13 @@ class NetPolicy:
         self.config = config
 
     def logits(self, observation: Observation) -> np.ndarray:
+        slots = observation.kinds.shape[1]
+        if slots != self.config.next_ops + 2:
+            # the parameters fit any window, so a mismatch would run silently
+            raise ValueError(
+                f"observation has {slots} slots per job; this policy was built "
+                f"for next_ops={self.config.next_ops} ({self.config.next_ops + 2} slots)"
+            )
         return forward(self.params, observation)
 
 

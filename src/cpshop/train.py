@@ -164,20 +164,19 @@ def realize_solution(
     otherwise the clock is advanced with No-Op.
     """
     model = env.model
+    # target starts, padded past each job's last operation so that a
+    # finished job is never the earliest
+    target = np.full((len(model.n_ops), model.proc.shape[1] + 1), np.iinfo(np.int64).max)
+    for j, row in enumerate(solution.starts):
+        target[j, : len(row)] = row
+    rows = np.arange(len(target))
     observations: list[Observation] = []
     actions: list[int] = []
     obs = env.observe()
     while not env.done:
-        best_job = -1
-        best_start = None
-        for j in range(env.instance.job_count):
-            k = int(model.cursor[j])
-            if k >= int(model.n_ops[j]):
-                continue
-            s = solution.starts[j][k]
-            if best_start is None or s < best_start:
-                best_start = s
-                best_job = j
+        next_starts = target[rows, model.cursor]
+        best_job = int(np.argmin(next_starts))  # the first of equal starts
+        best_start = int(next_starts[best_job])
         action = best_job if obs.mask[best_job] else env.noop_action
         observations.append(obs)
         actions.append(action)
@@ -211,7 +210,7 @@ def generate_demos(
         raise ValueError("generate_demos needs at least one instance")
     if actor_count < 1:
         raise ValueError("actor_count must be >= 1")
-    policy = NetPolicy(params)
+    policy = NetPolicy(params, PolicyConfig(next_ops=next_ops))
     root = np.random.SeedSequence(seed)
     batches = []
     for idx, instance in enumerate(instances):

@@ -20,7 +20,7 @@ from cpshop.cli import main
 from cpshop.env import F_LB, F_LENGTH, JobShopEnv, SLOT_REAL
 from cpshop.expert import solve_exact
 from cpshop.instances import generate_instance
-from cpshop.model import compress, is_compressed, validate
+from cpshop.model import compress, validate
 from cpshop.net import NetPolicy, PolicyConfig, init_params
 from cpshop.rules import RULES, RulePolicy, ensemble_solve, greedy_rollout, rollout
 from cpshop.train import (
@@ -171,7 +171,6 @@ def test_criterion_4_compression_suite():
             )
             and machine_order(inst, out) == machine_order(inst, sol)
             and compress(inst, out) == out
-            and is_compressed(inst, out)
             and all(
                 s == oracle[(j, k)]
                 for j, row in enumerate(out.starts)
@@ -233,7 +232,7 @@ def test_criterion_5_environment_suite():
             sol = env.solution()
             if not validate(inst, sol):
                 bad = "infeasible terminal schedule"
-            elif not is_compressed(inst, sol):
+            elif compress(inst, sol) != sol:
                 bad = "uncompressed terminal schedule"
         if bad:
             failures.append(bad)

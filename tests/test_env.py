@@ -13,7 +13,7 @@ from cpshop.env import (
     SLOT_SOURCE,
 )
 from cpshop.instances import Instance, Operation, generate_instance, parse_instance_text
-from cpshop.model import ModelState, is_compressed, validate
+from cpshop.model import compress, validate
 
 ORLIB_2X2 = "2 2\n0 3 1 2\n1 4 0 1\n"
 
@@ -120,7 +120,7 @@ def test_full_episode_walkthrough():
     assert sol.makespan == 6
     assert sol.starts == ((0, 4), (0, 4))
     assert validate(env.instance, sol)
-    assert is_compressed(env.instance, sol)
+    assert compress(env.instance, sol) == sol
 
 
 def test_noop_advances_to_next_event():
@@ -170,7 +170,8 @@ def test_masked_job_rejected():
     assert obs.t == 1
     mask = env.step(0).observation.mask
     assert not mask[1] and mask[2]
-    with pytest.raises(ActionError, match="job 1 is not dispatchable"):
+    message = r"job 1 is not dispatchable at t=1 \(start lower bound 10\)"
+    with pytest.raises(ActionError, match=message):
         env.step(1)
 
 
@@ -242,7 +243,7 @@ def test_terminal_schedules_feasible_and_compressed():
         random_episode(env, rng)
         sol = env.solution()
         assert validate(inst, sol)
-        assert is_compressed(inst, sol)
+        assert compress(inst, sol) == sol
 
 
 def test_at_t_flag_matches_clock():
@@ -354,30 +355,6 @@ def test_copy_steps_independently_of_its_original(jobs, machines, prefix):
     assert env.solution() == twin.solution()
 
 
-def test_one_bound_computation_per_step(monkeypatch):
-    calls = []
-    current_lbs = ModelState.current_lbs
-
-    def counted(model):
-        calls.append(1)
-        return current_lbs(model)
-
-    monkeypatch.setattr(ModelState, "current_lbs", counted)
-    env = JobShopEnv(generate_instance(15, 15, seed=11))
-    rng = np.random.default_rng(0)
-    obs = env.reset()
-    calls.clear()
-    steps = 0
-    while not env.done:
-        env.observe()
-        jobs = np.flatnonzero(obs.mask[:-1])
-        action = env.noop_action if obs.mask[-1] and rng.random() < 0.2 else int(rng.choice(jobs))
-        obs = env.step(action).observation
-        steps += 1
-    assert steps > 225  # every operation plus some No-Ops
-    assert len(calls) <= steps
-
-
 def test_step_vector_dispatches_everything_ready():
     env = tiny_env()
     env.reset()
@@ -414,14 +391,14 @@ def test_step_vector_redispatches_a_job_within_one_call():
 
 
 def test_step_vector_finishes_a_job_at_the_clock_equal_to_the_sentinel():
-    # one machine: the clock reaches the total processing time, which is
-    # also the bound reported for a finished job
+    # one machine: the clock reaches the total processing time, and the
+    # sweep that finishes job 1 at that clock must not revisit it
     inst = Instance("one-machine", 2, 1, ((Operation(0, 2),), (Operation(0, 3),)))
     env = JobShopEnv(inst)
     env.reset()
     env.step(0)
     obs = env.step(env.noop_action).observation
-    assert obs.t == env.model.ub_sentinel == 5
+    assert obs.t == 5
     assert env.step_vector([1, 0]).applied_actions == (1,)
     assert env.done and env.solution().starts == ((0,), (2,))
 
@@ -436,7 +413,9 @@ def two_block_window(model, t, horizon, next_ops):
     jc = model.instance.job_count
     idx = np.arange(jc)
     alive = model.alive()
-    lbs = model.current_lbs()
+    # current start lower bounds; a finished job's entry is masked out
+    current = np.minimum(model.cursor, model.proc.shape[1] - 1)
+    lbs = np.maximum(model.prev_end, model.release[model.machine[idx, current]])
     loaded_until = np.minimum(model.n_ops, model.cursor + horizon)
     slots = 2 + next_ops
     k = model.cursor[:, None] + np.arange(slots - 1)

@@ -38,7 +38,7 @@ def test_parse_orlib_basic():
     assert inst.jobs[0] == (Operation(0, 3), Operation(1, 2))
     assert inst.jobs[1] == (Operation(1, 4), Operation(0, 1))
     assert inst.total_operations == 4
-    assert inst.total_processing_time == 10
+    assert int(inst.proc.sum()) == 10
 
 
 def test_parse_taillard_matches_orlib():
@@ -200,7 +200,7 @@ def test_operation_tables_match_a_loop_over_the_operations(inst):
         assert table.dtype == np.int64
         np.testing.assert_array_equal(table, reference)
     assert inst.total_operations == sum(len(ops) for ops in inst.jobs)
-    assert inst.total_processing_time == sum(op.processing_time for ops in inst.jobs for op in ops)
+    assert int(inst.proc.sum()) == sum(op.processing_time for ops in inst.jobs for op in ops)
     assert inst.machine_load_bound() == max(expected[3])
 
 

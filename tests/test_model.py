@@ -10,7 +10,6 @@ from cpshop.model import (
     Solution,
     compress,
     earliest_starts,
-    is_compressed,
     machine_sequences,
     validate,
 )
@@ -107,7 +106,6 @@ def sweep_compress(instance, solution):
 def test_fresh_model_bounds():
     model = ModelState(tiny())
     assert not model.complete
-    assert list(model.current_lbs()) == [0, 0]
     assert list(model.proc[:, 0]) == [3, 4]
     assert list(model.cursor) == [0, 0]
     assert (model.starts == NOT_FIXED).all()
@@ -117,12 +115,11 @@ def test_fix_start_updates_release_and_chain():
     model = ModelState(tiny())
     assert model.fix_start(0) == 0  # job 0 op 0 on m0, [0, 3)
     assert model.fix_start(1) == 0  # job 1 op 0 on m1, [0, 4)
+    assert list(model.release) == [3, 4] and list(model.prev_end) == [3, 4]
     # job 0 op 1 needs m1 (released at 4) and its predecessor end 3
-    assert model.current_lbs()[0] == 4
+    assert model.fix_start(0) == 4
     # job 1 op 1 needs m0 (released at 3) and predecessor end 4
-    assert model.current_lbs()[1] == 4
-    model.fix_start(0)
-    model.fix_start(1)
+    assert model.fix_start(1) == 4
     assert model.complete
     sol = model.solution()
     assert sol.makespan == 6
@@ -143,18 +140,11 @@ def test_horizon_limits_loading():
     assert obs.kinds[1].tolist() == [SLOT_SOURCE, SLOT_REAL, SLOT_REAL, SLOT_SINK, SLOT_SINK]
 
 
-def test_finished_job_bound_is_sentinel():
-    model = ModelState(tiny())
-    model.fix_start(0)
-    model.fix_start(0)
-    assert list(model.alive()) == [False, True]
-    assert model.current_lbs()[0] == model.ub_sentinel == 10
-
-
 def test_fix_start_exhausted_job_rejected():
     model = ModelState(tiny())
     model.fix_start(0)
     model.fix_start(0)
+    assert list(model.alive()) == [False, True]
     with pytest.raises(ValueError, match="job 0"):
         model.fix_start(0)
 
@@ -241,13 +231,11 @@ def test_compress_properties():
             assert all(x <= y for x, y in zip(a, b))  # starts never increase
         assert machine_order(inst, out) == machine_order(inst, sol)
         assert compress(inst, out) == out  # idempotent
-        assert is_compressed(inst, out)
 
 
 def test_is_compressed_detects_slack():
     sol = Solution(instance_name="tiny", starts=((1, 4), (0, 4)), makespan=6)
     assert validate(tiny(), sol)
-    assert not is_compressed(tiny(), sol)
     assert compress(tiny(), sol).starts == ((0, 4), (0, 4))
 
 

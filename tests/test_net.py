@@ -18,7 +18,7 @@ from cpshop.net import (
     positional_encoding,
     save_params,
 )
-from cpshop.rules import greedy_rollout
+from cpshop.rules import greedy_rollout, rollout
 from cpshop.train import generate_demos
 
 
@@ -274,6 +274,17 @@ def test_net_policy_rolls_out_feasibly():
     inst = generate_instance(5, 5, seed=21)
     sol = greedy_rollout(inst, NetPolicy(params))
     assert validate(inst, sol)
+
+
+def test_net_policy_rejects_a_window_of_another_next_ops():
+    # the parameter shapes do not depend on next_ops, so without the check
+    # this policy dispatches from 5-slot windows it was not built for
+    config = PolicyConfig(next_ops=12)
+    policy = NetPolicy(init_params(config, seed=0), config)
+    inst = generate_instance(6, 12, seed=2)
+    with pytest.raises(ValueError, match="5 slots per job.*next_ops=12"):
+        rollout(inst, policy)
+    assert validate(inst, rollout(inst, policy, horizon=13, next_ops=12).solution)
 
 
 def test_adam_moves_toward_lower_loss():
