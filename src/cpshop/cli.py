@@ -105,6 +105,7 @@ def cmd_bench(args) -> int:
         raise UsageError("no methods given")
     seeds = _parse_seeds(args.seeds)
     solvers = [(m, _load_method(m, args.actors)) for m in methods]
+    dataset_name = directory.resolve().name  # Path(".").name is empty
     rows = []
     for instance in instances:
         for name, solve in solvers:
@@ -119,7 +120,7 @@ def cmd_bench(args) -> int:
                         f"{instance.name}: {report.violation}"
                     )
                 rows.append(
-                    (directory.name, instance.name, name, seed, solution.makespan, round(dt, 6))
+                    (dataset_name, instance.name, name, seed, solution.makespan, round(dt, 6))
                 )
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -131,7 +132,7 @@ def cmd_bench(args) -> int:
         by_method.setdefault(method, []).append(makespan)
     for method, makespans in sorted(by_method.items()):
         print(
-            f"summary {directory.name} {method} "
+            f"summary {dataset_name} {method} "
             f"mean {np.mean(makespans):.2f} std {np.std(makespans):.2f}"
         )
     return EXIT_OK
@@ -257,9 +258,9 @@ def cmd_gen(args) -> int:
             write_instance(instance, out / f"{instance.name}.txt", args.fmt)
         print(f"wrote {args.dataset} to {out}")
         return EXIT_OK
-    if args.jobs is None or args.machines is None:
+    if args.job_count is None or args.machine_count is None:
         raise UsageError("gen needs either --dataset or both --jobs and --machines")
-    instance = generate_instance(args.jobs, args.machines, args.seed)
+    instance = generate_instance(args.job_count, args.machine_count, args.seed)
     if out.is_dir():
         out = out / f"{instance.name}.txt"
     write_instance(instance, out, args.fmt)
@@ -328,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate instances or whole datasets")
     gen.add_argument("--dataset", choices=DATASETS, default=None)
-    gen.add_argument("--jobs", type=_int_at_least(1), default=None)
-    gen.add_argument("--machines", type=_int_at_least(1), default=None)
+    gen.add_argument("--jobs", dest="job_count", type=_int_at_least(1), default=None)
+    gen.add_argument("--machines", dest="machine_count", type=_int_at_least(1), default=None)
     gen.add_argument("--seed", type=_int_at_least(0), default=0)
     gen.add_argument("--fmt", choices=FORMATS, default="taillard")
     gen.add_argument("--out", required=True)

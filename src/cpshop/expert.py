@@ -3,7 +3,8 @@
 ``solve_exact`` enumerates active schedules (Giffler-Thompson conflict
 branching) with a lower bound from machine loads and job tails; within
 budget it is exact and reports ``certified=True``, otherwise it returns
-the best incumbent found.
+the best incumbent found. It reads the instance's ``proc`` and
+``machine`` tables, as lists built once per call.
 
 ``improve`` is a critical-path local search over per-machine operation
 sequences: adjacent swaps of critical operations, first-improvement, and
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -50,44 +51,23 @@ class ExactResult:
     nodes: int
 
 
-def _lower_bound(instance, ready, free, cursor, rem_job, rem_machine):
-    lb = 0
-    for m in range(instance.machine_count):
-        if rem_machine[m]:
-            lb = max(lb, free[m] + rem_machine[m])
-    for j in range(instance.job_count):
-        if cursor[j] < len(instance.jobs[j]):
-            lb = max(lb, ready[j] + rem_job[j])
-    return lb
+def _lower_bound(ready, free, rem_job, rem_machine):
+    """The largest release plus remaining work over the machines and jobs
+    with work left; every processing time is at least 1."""
+    return max(t + r for t, r in chain(zip(free, rem_machine), zip(ready, rem_job)) if r)
 
 
-def _conflict_set(instance, n_ops, cursor, ready, free):
+def _conflict_set(proc, machine, n_ops, cursor, ready, free):
     """Giffler-Thompson branching: the machine that achieves the minimum
-    earliest completion time, and its conflicting operations as sorted
-    (end, job, start, processing time) tuples."""
-    best_c = np.inf
-    best_m = -1
-    for j in range(instance.job_count):
-        k = cursor[j]
-        if k >= n_ops[j]:
-            continue
-        op = instance.jobs[j][k]
-        c = max(ready[j], free[op.machine]) + op.processing_time
-        if c < best_c:
-            best_c = c
-            best_m = op.machine
-    conflict = []
-    for j in range(instance.job_count):
-        k = cursor[j]
-        if k >= n_ops[j]:
-            continue
-        op = instance.jobs[j][k]
-        if op.machine != best_m:
-            continue
-        s = max(ready[j], free[op.machine])
-        if s < best_c:
-            conflict.append((s + op.processing_time, j, s, op.processing_time))
-    conflict.sort()
+    earliest completion time, lowest job first on ties, and its conflicting
+    operations as sorted (end, job, start, processing time) tuples."""
+    live = []
+    for j, k in enumerate(cursor):
+        if k < n_ops[j]:
+            m = machine[j][k]
+            live.append((max(ready[j], free[m]), proc[j][k], j, m))
+    best_c, _, best_m = min((s + p, j, m) for s, p, j, m in live)
+    conflict = sorted((s + p, j, s, p) for s, p, j, m in live if m == best_m and s < best_c)
     return best_m, conflict
 
 
@@ -101,6 +81,8 @@ def solve_exact(
     jc = instance.job_count
     mc = instance.machine_count
     n_ops = instance.n_ops.tolist()
+    proc = instance.proc.tolist()
+    machine = instance.machine.tolist()
     total = sum(n_ops)
     deadline = np.inf if time_limit is None else time.monotonic() + time_limit
 
@@ -133,8 +115,8 @@ def solve_exact(
             if makespan < best_makespan:
                 best_makespan = makespan
                 best_starts = [row.copy() for row in starts]
-        elif _lower_bound(instance, ready, free, cursor, rem_job, rem_machine) < best_makespan:
-            frames.append([*_conflict_set(instance, n_ops, cursor, ready, free), 0, None])
+        elif _lower_bound(ready, free, rem_job, rem_machine) < best_makespan:
+            frames.append([*_conflict_set(proc, machine, n_ops, cursor, ready, free), 0, None])
         # backtrack to the deepest frame with a child left and apply it
         while frames:
             frame = frames[-1]

@@ -10,12 +10,14 @@ and the dispatching environment reads it for every job off its settled
 window. This is exact for the chronological lower-bound fixing that
 environment performs.
 
-Also provides solution validation and the package's one evaluator of
-earliest starts under fixed machine orders. It numbers the operations job
-by job (:class:`OperationIndex`), reads each machine's sequence off a
-solution (:func:`machine_sequences`) and computes the heads in one Kahn
-pass (:func:`earliest_starts`). Solution compression and the expert's
-local search both use it.
+Also provides solution validation, which checks each job's row of starts
+against its row of the instance's ``proc`` and ``machine`` tables, and
+the package's one evaluator of earliest starts under fixed machine
+orders. It numbers the operations job by job (:class:`OperationIndex`),
+reads each machine's sequence off a solution and the machine table
+(:func:`machine_sequences`) and computes the heads in one Kahn pass
+(:func:`earliest_starts`). Solution compression and the expert's local
+search both use it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import copy
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -152,11 +155,9 @@ class OperationIndex:
 def machine_sequences(instance: Instance, solution: Solution) -> list[list[int]]:
     """Each machine's operation numbers in start order."""
     seqs: list[list[tuple[int, int]]] = [[] for _ in range(instance.machine_count)]
-    o = 0
-    for row, ops in zip(solution.starts, instance.jobs):
-        for s, op in zip(row, ops):
-            seqs[op.machine].append((s, o))
-            o += 1
+    machines = instance.machine[instance.proc > 0].tolist()
+    for o, (s, m) in enumerate(zip(chain.from_iterable(solution.starts), machines)):
+        seqs[m].append((s, o))
     return [[o for _, o in sorted(seq)] for seq in seqs]
 
 
@@ -195,27 +196,24 @@ def earliest_starts(index: OperationIndex, seqs: list[list[int]]):
     return heads, order, machine_next
 
 
-def _check_dims(instance: Instance, solution: Solution) -> str | None:
-    if len(solution.starts) != instance.job_count:
-        return f"solution has {len(solution.starts)} jobs, instance has {instance.job_count}"
-    for j, (row, ops) in enumerate(zip(solution.starts, instance.jobs)):
-        if len(row) != len(ops):
-            return f"job {j}: {len(row)} start times for {len(ops)} operations"
-    return None
-
-
 def validate(instance: Instance, solution: Solution) -> ValidationReport:
     """Check precedence, machine no-overlap, and the reported makespan."""
-    dim_err = _check_dims(instance, solution)
-    if dim_err is not None:
-        return ValidationReport(False, dim_err)
+    if len(solution.starts) != instance.job_count:
+        return ValidationReport(
+            False, f"solution has {len(solution.starts)} jobs, instance has {instance.job_count}"
+        )
+    for j, (row, n) in enumerate(zip(solution.starts, instance.n_ops.tolist())):
+        if len(row) != n:
+            return ValidationReport(False, f"job {j}: {len(row)} start times for {n} operations")
     max_end = 0
     per_machine: dict[int, list[tuple[int, int, int, int]]] = {}
-    for j, (row, ops) in enumerate(zip(solution.starts, instance.jobs)):
-        for k, (s, op) in enumerate(zip(row, ops)):
+    rows = zip(solution.starts, instance.proc.tolist(), instance.machine.tolist())
+    for j, (row, procs, machines) in enumerate(rows):
+        # a row of starts is as long as the job, so the zip stops at its padding
+        for k, (s, p, m) in enumerate(zip(row, procs, machines)):
             if s < 0:
                 return ValidationReport(False, f"operation ({j},{k}) has negative start {s}")
-            end = s + op.processing_time
+            end = s + p
             max_end = max(max_end, end)
             if k + 1 < len(row) and end > row[k + 1]:
                 return ValidationReport(
@@ -223,7 +221,7 @@ def validate(instance: Instance, solution: Solution) -> ValidationReport:
                     f"precedence violation in job {j}: op {k} ends at {end}, "
                     f"op {k + 1} starts at {row[k + 1]}",
                 )
-            per_machine.setdefault(op.machine, []).append((s, end, j, k))
+            per_machine.setdefault(m, []).append((s, end, j, k))
     for m, entries in per_machine.items():
         entries.sort()
         for (s1, e1, j1, k1), (s2, e2, j2, k2) in zip(entries, entries[1:]):

@@ -205,14 +205,20 @@ class NetPolicy:
         self.config = config
 
     def logits(self, observation: Observation) -> np.ndarray:
-        slots = observation.kinds.shape[1]
+        return self.batch_logits([observation])[0]
+
+    def batch_logits(self, observations: list[Observation]) -> np.ndarray:
+        """Masked logits, one row per observation, from the current parameter
+        values as plain arrays; builds no ``Tensor``."""
+        slots = observations[0].kinds.shape[1]
         if slots != self.config.next_ops + 2:
             # the parameters fit any window, so a mismatch would run silently
             raise ValueError(
                 f"observation has {slots} slots per job; this policy was built "
                 f"for next_ops={self.config.next_ops} ({self.config.next_ops + 2} slots)"
             )
-        return forward(self.params, observation)
+        batch = ObservationBatch.from_observations(observations)
+        return forward_logits({k: p.data for k, p in self.params.items()}, batch)
 
 
 # -- optimization --------------------------------------------------------
@@ -258,13 +264,6 @@ class Adam:
         self.t = int(state["t"])
         self.m = {k: np.asarray(state[f"m/{k}"]) for k in self.params}
         self.v = {k: np.asarray(state[f"v/{k}"]) for k in self.params}
-
-
-def forward(params: dict[str, Tensor], observation: Observation) -> np.ndarray:
-    """Masked logit vector (length job_count + 1) for one observation, from
-    the current parameter values as plain arrays; builds no ``Tensor``."""
-    batch = ObservationBatch.from_observations([observation])
-    return forward_logits({k: p.data for k, p in params.items()}, batch)[0]
 
 
 # -- persistence ---------------------------------------------------------

@@ -139,18 +139,12 @@ def sample_episodes(
     policy: NetPolicy,
     rngs: list[np.random.Generator],
     horizon: int,
-    next_ops: int,
 ) -> list[Rollout]:
     """One recorded temperature-1 episode per generator, with the actors in
-    lockstep and one forward pass per decision round on the current
-    parameter values as plain arrays."""
-
-    def logits_of(observations: list[Observation]) -> np.ndarray:
-        batch = ObservationBatch.from_observations(observations)
-        return forward_logits({k: p.data for k, p in policy.params.items()}, batch)
-
-    envs = [JobShopEnv(instance, horizon=horizon, next_ops=next_ops) for _ in rngs]
-    return sample_lockstep(envs, logits_of, rngs, [1.0] * len(rngs), record=True)
+    lockstep and one :meth:`NetPolicy.batch_logits` call per decision round,
+    on environments at the policy's own window."""
+    envs = [JobShopEnv(instance, horizon=horizon, next_ops=policy.config.next_ops) for _ in rngs]
+    return sample_lockstep(envs, policy.batch_logits, rngs, [1.0] * len(rngs), record=True)
 
 
 def realize_solution(
@@ -221,7 +215,6 @@ def generate_demos(
             policy,
             [np.random.default_rng(actor_seqs[a]) for a in range(actor_count)],
             horizon,
-            next_ops,
         )
         j_rng = np.random.default_rng(actor_seqs[actor_count])
         min_len = min(len(ep.actions) for ep in episodes)

@@ -335,7 +335,7 @@ def test_criterion_7_training_algebra():
     # (a) neutrality: no expert improvement leaves parameters bit-identical
     inst = generate_instance(3, 3, seed=77)
     params = init_params(seed=0)
-    episode = sample_episodes(inst, NetPolicy(params), [np.random.default_rng(0)], 10, 3)[0]
+    episode = sample_episodes(inst, NetPolicy(params), [np.random.default_rng(0)], 10)[0]
     demo = ActorDemo(actor=episode, expert=episode, ratio=1.0)
     before = {k: v.data.copy() for k, v in params.items()}
     batches = [DemoBatch(instance=inst, slice_index=1, demos=[demo])]

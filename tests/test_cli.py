@@ -257,6 +257,16 @@ def test_bench_rows_and_summary(instance_dir, tmp_path, capsys):
         assert float(r["runtime_s"]) >= 0.0
 
 
+def test_bench_from_inside_the_directory_names_it(instance_dir, tmp_path, monkeypatch, capsys):
+    # "." has an empty name; the dataset is the directory it resolves to
+    monkeypatch.chdir(instance_dir)
+    out = tmp_path / "rows.csv"
+    assert main(["bench", "--dir", ".", "--methods", "fifo", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"summary {instance_dir.name} fifo mean ")
+    with open(out) as fh:
+        assert {r["dataset"] for r in csv.DictReader(fh)} == {instance_dir.name}
+
+
 def test_bench_empty_dir_is_data_error(tmp_path, capsys):
     d = tmp_path / "empty"
     d.mkdir()

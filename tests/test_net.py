@@ -11,7 +11,6 @@ from cpshop.net import (
     ObservationBatch,
     PolicyConfig,
     action_log_probs,
-    forward,
     forward_logits,
     init_params,
     load_params,
@@ -59,7 +58,7 @@ def test_positional_encoding_values():
 def test_forward_shape_and_masking():
     params = init_params(seed=0)
     obs = observations_for(3, count=1)[0]
-    logits = forward(params, obs)
+    logits = NetPolicy(params).logits(obs)
     assert logits.shape == (obs.job_count + 1,)
     assert np.isfinite(logits[obs.mask]).all()
     assert (logits[~obs.mask] == -np.inf).all()
@@ -77,8 +76,12 @@ def test_batch_matches_single_forward():
     observations = observations_for(5, count=4)
     batch = ObservationBatch.from_observations(observations)
     batched = forward_logits(params, batch).data
+    policy = NetPolicy(params)
     for row, obs in zip(batched, observations):
-        np.testing.assert_allclose(row, forward(params, obs), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(row, policy.logits(obs), rtol=1e-12, atol=1e-12)
+    # the policy's batch is the array pass over the same stacked batch
+    without = forward_logits(arrays_of(params), batch)
+    assert policy.batch_logits(observations).tobytes() == without.tobytes()
 
 
 def arrays_of(params):
@@ -94,7 +97,8 @@ def test_forward_logits_bitwise_equal_without_graph():
     assert with_graph.requires_grad and type(without) is np.ndarray
     assert without.tobytes() == with_graph.data.tobytes()
     single = ObservationBatch.from_observations(observations[:1])
-    assert forward(params, observations[0]).tobytes() == forward_logits(params, single).data[0].tobytes()
+    logits = NetPolicy(params).logits(observations[0])
+    assert logits.tobytes() == forward_logits(params, single).data[0].tobytes()
 
 
 @pytest.mark.parametrize("batch_size", [1, 8])
@@ -191,8 +195,9 @@ def test_job_permutation_equivariance():
         t=obs.t,
         time_scale=obs.time_scale,
     )
-    base = forward(params, obs)
-    out = forward(params, permuted)
+    policy = NetPolicy(params)
+    base = policy.logits(obs)
+    out = policy.logits(permuted)
     np.testing.assert_allclose(out[:-1], base[:-1][perm], rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(out[-1], base[-1], rtol=1e-10)
 
@@ -213,7 +218,8 @@ def test_time_scale_invariance():
         t=obs.t * 2,
         time_scale=obs.time_scale * 2,
     )
-    np.testing.assert_allclose(forward(params, doubled), forward(params, obs), rtol=1e-12)
+    policy = NetPolicy(params)
+    np.testing.assert_allclose(policy.logits(doubled), policy.logits(obs), rtol=1e-12)
 
 
 def test_action_log_probs_are_log_softmax_rows():
@@ -284,6 +290,8 @@ def test_net_policy_rejects_a_window_of_another_next_ops():
     inst = generate_instance(6, 12, seed=2)
     with pytest.raises(ValueError, match="5 slots per job.*next_ops=12"):
         rollout(inst, policy)
+    with pytest.raises(ValueError, match="5 slots per job.*next_ops=12"):
+        policy.batch_logits([JobShopEnv(inst).observe()])
     assert validate(inst, rollout(inst, policy, horizon=13, next_ops=12).solution)
 
 

@@ -1,6 +1,7 @@
 """Pins the package's schedules across refactors: one digest over greedy
-rule schedules, a budgeted local search and the exact solver, and one over
-the local search at every ta-like size and a warm-started prefix completion.
+rule schedules, a budgeted local search and the exact solver, one over
+the local search at every ta-like size and a warm-started prefix completion,
+and one over node-limited exact searches.
 
 Every input here is built and dispatched with integer arithmetic and
 PCG64 draws only, so the digest does not depend on the platform. A change
@@ -10,29 +11,30 @@ the new digest with the change that explains it.
 
 import hashlib
 
-from cpshop.benchmarks import TA_LIKE_SIZES, dataset
+from cpshop.benchmarks import LA_LIKE_SIZES, TA_LIKE_SIZES, dataset
 from cpshop.env import JobShopEnv
 from cpshop.expert import complete_prefix, improve, solve_exact
-from cpshop.instances import generate_instance
+from cpshop.instances import generate_instance, parse_instance_text
 from cpshop.rules import RULES, RulePolicy, greedy_rollout, masked_argmax
 
 EXPECTED_DIGEST = "30d78fa8dcdba0bc01601461be375eced0e563a5bf806d43ddf078f1b53d1c1b"
 LOCAL_SEARCH_DIGEST = "461e45df0eb9bc83cc336045f20f2f84dcafc84d4ad1632bd6241a1d7e5d87c8"
+EXACT_DIGEST = "5262f78803b0cf248445653b64cb200ae33df23fd45318bd49f5f07e3e14738e"
 
 
-def ta_like_firsts(sizes=TA_LIKE_SIZES) -> list:
-    """The first ta-like instance of each of ``sizes``."""
-    ta = dataset("ta-like")
+def firsts_of(name: str, sizes) -> list:
+    """The first instance of each of ``sizes`` in dataset ``name``."""
+    instances = dataset(name)
     firsts, index = [], 0
     for _, _, count in sizes:
-        firsts.append(ta[index])
+        firsts.append(instances[index])
         index += count
     return firsts
 
 
 def schedules() -> list:
     # the first instance of each of the three smallest sizes
-    firsts = ta_like_firsts(TA_LIKE_SIZES[:3])
+    firsts = firsts_of("ta-like", TA_LIKE_SIZES[:3])
     out = [
         greedy_rollout(inst, RulePolicy(rule), use_vector=vector)
         for inst in firsts
@@ -55,7 +57,7 @@ def local_search_schedules() -> list:
     size, then ``complete_prefix`` of a 30-step ``spt`` prefix on 15x15,
     pinned and warm-started by the whole ``spt`` episode (shorter than the
     ``mtwr`` completion of that prefix, so the warm start is taken)."""
-    firsts = ta_like_firsts()
+    firsts = firsts_of("ta-like", TA_LIKE_SIZES)
     out = [
         improve(inst, greedy_rollout(inst, RulePolicy("mtwr")), evals=500, seed=1)
         for inst in firsts
@@ -78,3 +80,19 @@ def local_search_schedules() -> list:
 def test_local_search_matches_the_recorded_digest():
     digest = hashlib.sha256(repr(local_search_schedules()).encode()).hexdigest()
     assert digest == LOCAL_SEARCH_DIGEST
+
+
+def exact_results() -> list:
+    """``solve_exact`` under a node limit on the first la-like instance of
+    each size, then on a ragged instance of 1, 3 and 2 operations. Each
+    result holds its node count, so this pins the search order too."""
+    ragged = parse_instance_text("3 3\n0 5\n1 3 0 2 2 4\n2 6 1 1\n", "orlib", "ragged")
+    return [
+        *(solve_exact(inst, node_limit=20_000) for inst in firsts_of("la-like", LA_LIKE_SIZES)),
+        solve_exact(ragged),
+    ]
+
+
+def test_exact_search_matches_the_recorded_digest():
+    digest = hashlib.sha256(repr(exact_results()).encode()).hexdigest()
+    assert digest == EXACT_DIGEST

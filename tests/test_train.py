@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cpshop.net
 import cpshop.train
 from cpshop.env import JobShopEnv
 from cpshop.instances import generate_instance
@@ -14,7 +15,6 @@ from cpshop.net import (
     PolicyConfig,
     Tensor,
     action_log_probs,
-    forward,
     init_params,
 )
 from cpshop.rules import Rollout, RulePolicy, greedy_rollout, masked_softmax, rollout
@@ -45,7 +45,7 @@ def params_equal(params, snapshot):
 
 
 def sample_episode(instance, policy, rng):
-    return sample_episodes(instance, policy, [rng], 10, 3)[0]
+    return sample_episodes(instance, policy, [rng], 10)[0]
 
 
 def run_wave(wave, params, demo_batches, config):
@@ -201,7 +201,7 @@ def test_lockstep_sampling_equals_one_actor_at_a_time(jobs, machines):
     inst = generate_instance(jobs, machines, seed=jobs * machines)
     policy = NetPolicy(init_params(seed=0))
     streams = np.random.SeedSequence(7).spawn(4)
-    together = sample_episodes(inst, policy, [np.random.default_rng(s) for s in streams], 10, 3)
+    together = sample_episodes(inst, policy, [np.random.default_rng(s) for s in streams], 10)
     for stream, episode in zip(streams, together):
         assert_same_episode(episode, sample_episode(inst, policy, np.random.default_rng(stream)))
         # the per-observation policy path samples the same episode too
@@ -224,19 +224,19 @@ def test_inference_builds_no_tensor(monkeypatch):
     monkeypatch.setattr(Tensor, "__init__", counting)
     rollout(inst, policy)
     assert built == []
-    episodes = sample_episodes(inst, policy, [np.random.default_rng(s) for s in (1, 2)], 10, 3)
+    episodes = sample_episodes(inst, policy, [np.random.default_rng(s) for s in (1, 2)], 10)
     assert built == [] and all(ep.actions for ep in episodes)
 
 
 def test_generate_demos_batches_one_forward_per_decision_round(monkeypatch):
     calls = []
-    original = cpshop.train.forward_logits
+    original = cpshop.net.forward_logits
 
     def counting(params, batch):
         calls.append(batch.features.shape[0])
         return original(params, batch)
 
-    monkeypatch.setattr(cpshop.train, "forward_logits", counting)
+    monkeypatch.setattr(cpshop.net, "forward_logits", counting)
     instances = [generate_instance(4, 4, seed=31), generate_instance(5, 3, seed=32)]
     params = init_params(seed=0)
     batches = generate_demos(instances, params, 4, evals=20, patience=5, seed=0)
@@ -315,7 +315,7 @@ def test_update_survives_underflowed_action_probability():
     params = init_params(seed=0)
     params["job.h2.w"].data = params["job.h2.w"].data * 1e6
     obs = JobShopEnv(generate_instance(6, 6, seed=0)).reset()
-    logits = forward(params, obs)
+    logits = NetPolicy(params).logits(obs)
     action = int(np.argmin(np.where(obs.mask, logits, np.inf)))
     config = TrainConfig()
     stats = _surrogate_update_loop(
