@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 import traceback
@@ -139,7 +140,7 @@ def cmd_bench(args) -> int:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    seed = _int_at_least(0)
+    seed = _at_least(0)
     try:
         seeds = [seed(s) for s in text.split(",") if s.strip()]
     except argparse.ArgumentTypeError as exc:
@@ -152,8 +153,10 @@ def _parse_seeds(text: str) -> list[int]:
 def cmd_solve(args) -> int:
     instance = parse_instance(args.instance, args.fmt)
     if args.method == "exact":
+        # a budget alone bounds the search; without one, the node cap does
+        limits = {} if args.budget is None else {"time_limit": args.budget, "node_limit": None}
         t0 = time.perf_counter()
-        result = solve_exact(instance, time_limit=args.budget)
+        result = solve_exact(instance, **limits)
         dt = time.perf_counter() - t0
         solution = result.solution
         status = "certified optimum" if result.certified else "best found"
@@ -273,16 +276,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_at_least(lower: int):
-    """An argparse type: an integer no smaller than ``lower``."""
+def _at_least(lower: int, cast=int, kind: str = "an integer"):
+    """An argparse type: a finite ``cast`` value no smaller than ``lower``."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
             value = lower - 1
-        if value < lower:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {lower}, got {text!r}")
+        if not lower <= value < math.inf:  # nan compares false
+            raise argparse.ArgumentTypeError(f"expected {kind} >= {lower}, got {text!r}")
         return value
 
     return parse
@@ -297,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--fmt", choices=FORMATS, default="taillard")
     bench.add_argument("--methods", default="fifo,spt,mtwr")
     bench.add_argument("--seeds", default="0")
-    bench.add_argument("--actors", type=_int_at_least(1), default=8)
+    bench.add_argument("--actors", type=_at_least(1), default=8)
     bench.add_argument("--out", default=None, help="per-row CSV path")
     bench.set_defaults(func=cmd_bench)
 
@@ -305,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--instance", required=True)
     solve.add_argument("--fmt", choices=FORMATS, default="taillard")
     solve.add_argument("--method", default="mtwr")
-    solve.add_argument("--seed", type=_int_at_least(0), default=0)
-    solve.add_argument("--actors", type=_int_at_least(1), default=8)
-    solve.add_argument("--budget", type=float, default=None, help="time limit for exact search")
+    solve.add_argument("--seed", type=_at_least(0), default=0)
+    solve.add_argument("--actors", type=_at_least(1), default=8)
+    solve.add_argument("--budget", type=_at_least(0, float, "a finite number"), default=None,
+                       help="seconds for exact search, in place of its node cap")
     solve.add_argument("--out", default=None, help="solution file path")
     solve.set_defaults(func=cmd_solve)
 
@@ -323,15 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance file, repeatable or comma-separated")
     train.add_argument("--fmt", choices=FORMATS, default="taillard")
     train.add_argument("--config", default=None, help="key=value config file")
-    train.add_argument("--seed", type=_int_at_least(0), default=0)
+    train.add_argument("--seed", type=_at_least(0), default=0)
     train.add_argument("--out", required=True, help="checkpoint/metrics directory")
     train.set_defaults(func=cmd_train)
 
     gen = sub.add_parser("gen", help="generate instances or whole datasets")
     gen.add_argument("--dataset", choices=DATASETS, default=None)
-    gen.add_argument("--jobs", dest="job_count", type=_int_at_least(1), default=None)
-    gen.add_argument("--machines", dest="machine_count", type=_int_at_least(1), default=None)
-    gen.add_argument("--seed", type=_int_at_least(0), default=0)
+    gen.add_argument("--jobs", dest="job_count", type=_at_least(1), default=None)
+    gen.add_argument("--machines", dest="machine_count", type=_at_least(1), default=None)
+    gen.add_argument("--seed", type=_at_least(0), default=0)
     gen.add_argument("--fmt", choices=FORMATS, default="taillard")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)

@@ -237,7 +237,9 @@ def serialize_instance(instance: Instance, fmt: str) -> str:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     lines = [f"{instance.job_count} {instance.machine_count}"]
     if fmt == "orlib":
-        for ops in instance.jobs:
+        for j, ops in enumerate(instance.jobs):
+            if not ops:
+                raise ValueError(f"job {j} has no operations, which the orlib format cannot hold")
             lines.append(" ".join(f"{op.machine} {op.processing_time}" for op in ops))
     else:
         for ops in instance.jobs:

@@ -96,9 +96,12 @@ def masked_softmax(
 @dataclass
 class Rollout:
     solution: Solution
-    makespan: int
     observations: list[Observation] = field(default_factory=list)
     actions: list[int] = field(default_factory=list)
+
+    @property
+    def makespan(self) -> int:
+        return self.solution.makespan
 
 
 def rollout(
@@ -118,8 +121,7 @@ def rollout(
     obs = env.observe()
     while not env.done:
         obs = env.step(masked_argmax(policy.logits(obs), obs.mask)).observation
-    solution = env.solution()
-    return Rollout(solution=solution, makespan=solution.makespan)
+    return Rollout(solution=env.solution())
 
 
 def sample_lockstep(
@@ -138,7 +140,7 @@ def sample_lockstep(
     the one it would sample alone. ``record`` keeps observations and actions.
     """
     current = [env.observe() for env in envs]
-    episodes = [Rollout(solution=None, makespan=0) for _ in envs]  # type: ignore[arg-type]
+    trails: list[tuple[list, list]] = [([], []) for _ in envs]  # observations, actions
     temps = np.asarray(temperatures, dtype=np.float64)[:, None]
     running = [a for a, env in enumerate(envs) if not env.done]
     while running:
@@ -148,14 +150,11 @@ def sample_lockstep(
         for row, a in enumerate(running):
             action = int(rngs[a].choice(probs.shape[1], p=probs[row]))
             if record:
-                episodes[a].observations.append(current[a])
-                episodes[a].actions.append(action)
+                trails[a][0].append(current[a])
+                trails[a][1].append(action)
             current[a] = envs[a].step(action).observation
         running = [a for a in running if not envs[a].done]
-    for episode, env in zip(episodes, envs):
-        episode.solution = env.solution()
-        episode.makespan = episode.solution.makespan
-    return episodes
+    return [Rollout(env.solution(), *trail) for env, trail in zip(envs, trails)]
 
 
 def greedy_rollout(

@@ -1,6 +1,9 @@
 """Expert-guided policy training.
 
-One training wave per epoch:
+``train_loop`` builds one ``NetPolicy`` over the parameters it trains and
+passes it, with the ``TrainConfig``, to every step below: the policy
+holds the observation window, the config the horizon, actor count and
+expert budget. One training wave per epoch:
 
 1. Demo generation: every actor samples one episode per training
    instance; a shared cut index j per instance splits each episode into a
@@ -9,8 +12,9 @@ One training wave per epoch:
    ratios i_a = expert makespan / actor makespan.
 2. Feedback step: completion steps are tagged -i_a (actor's own) or +i_a
    (expert's), min-max scaled into advantages, and applied with a clipped
-   surrogate under a KL budget. If no expert improved anything
-   (all i_a = 1) the wave is skipped so nothing is penalized.
+   surrogate under a KL budget, over samples batched per job count. If
+   no expert improved anything (all i_a = 1) the wave is skipped so
+   nothing is penalized.
 3. Initial step: the shared prefixes are credited with the negated,
    standardized expert makespans, reinforcing prefixes that led the
    expert to better schedules.
@@ -61,7 +65,6 @@ class ActorDemo:
 
 @dataclass
 class DemoBatch:
-    instance: Instance
     slice_index: int
     demos: list[ActorDemo]
 
@@ -190,33 +193,29 @@ def realize_solution(
 
 def generate_demos(
     instances: list[Instance],
-    params: dict[str, Tensor],
-    actor_count: int,
-    evals: int,
-    patience: int,
+    policy: NetPolicy,
+    config: TrainConfig,
     seed,
-    horizon: int = 10,
-    next_ops: int = 3,
+    evals: int,
 ) -> list[DemoBatch]:
-    """One wave of partial expert demonstrations (deterministic in seed);
-    ``evals`` and ``patience`` bound each expert completion's search."""
+    """One wave of partial expert demonstrations (deterministic in seed):
+    ``config.actor_count`` episodes per instance, on environments at
+    ``config.horizon`` and the policy's window. ``evals`` and
+    ``config.expert_patience`` bound each expert completion's search."""
     if not instances:
         raise ValueError("generate_demos needs at least one instance")
-    if actor_count < 1:
-        raise ValueError("actor_count must be >= 1")
-    policy = NetPolicy(params, PolicyConfig(next_ops=next_ops))
     root = np.random.SeedSequence(seed)
     batches = []
     for idx, instance in enumerate(instances):
         inst_seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=(idx,))
-        actor_seqs = inst_seq.spawn(actor_count + 1)
+        actor_seqs = inst_seq.spawn(config.actor_count + 1)
         episodes = sample_episodes(
             instance,
             policy,
-            [np.random.default_rng(actor_seqs[a]) for a in range(actor_count)],
-            horizon,
+            [np.random.default_rng(actor_seqs[a]) for a in range(config.actor_count)],
+            config.horizon,
         )
-        j_rng = np.random.default_rng(actor_seqs[actor_count])
+        j_rng = np.random.default_rng(actor_seqs[config.actor_count])
         min_len = min(len(ep.actions) for ep in episodes)
         j = int(j_rng.integers(0, min_len + 1))
         demos = []
@@ -225,7 +224,7 @@ def generate_demos(
             # the env at the cut, stepped once: the expert completes a copy
             # of it and realize_solution continues from it, after the
             # prefix whose observations the actor's episode already holds
-            cut = JobShopEnv(instance, horizon=horizon, next_ops=next_ops)
+            cut = JobShopEnv(instance, horizon=config.horizon, next_ops=policy.config.next_ops)
             for action in prefix:
                 cut.step(action)
             try:
@@ -234,7 +233,7 @@ def generate_demos(
                     cut,
                     warm=episode.solution,
                     evals=evals,
-                    patience=patience,
+                    patience=config.expert_patience,
                     seed=int(np.random.default_rng(actor_seqs[a]).integers(2**31)),
                 )
             except Exception as exc:
@@ -245,7 +244,6 @@ def generate_demos(
             suffix_obs, suffix_actions = realize_solution(cut, expert_solution)
             expert = Rollout(
                 solution=expert_solution,
-                makespan=expert_solution.makespan,
                 observations=episode.observations[:j] + suffix_obs,
                 actions=prefix + suffix_actions,
             )
@@ -257,7 +255,7 @@ def generate_demos(
             demos.append(
                 ActorDemo(actor=episode, expert=expert, ratio=expert.makespan / episode.makespan)
             )
-        batches.append(DemoBatch(instance=instance, slice_index=j, demos=demos))
+        batches.append(DemoBatch(slice_index=j, demos=demos))
     return batches
 
 
@@ -272,36 +270,30 @@ def rollout_solution_of(episode: Rollout, instance: Instance) -> Solution:
 # -- surrogate updates ---------------------------------------------------
 
 
-def _group_samples(
-    samples: list[tuple[Observation, int, float]],
-) -> list[tuple[ObservationBatch, np.ndarray, np.ndarray]]:
-    """One ``(batch, actions, advantages)`` triple per job count, in increasing order."""
-    by_jc: dict[int, list[tuple[Observation, int, float]]] = {}
-    for obs, action, adv in samples:
-        by_jc.setdefault(obs.job_count, []).append((obs, action, adv))
-    groups = []
-    for jc in sorted(by_jc):
-        rows = by_jc[jc]
-        batch = ObservationBatch.from_observations([r[0] for r in rows])
-        groups.append((batch, np.array([r[1] for r in rows]), np.array([r[2] for r in rows])))
-    return groups
-
-
 def _surrogate_update_loop(
     params: dict[str, Tensor],
     optimizer: Adam,
-    groups: list[tuple[ObservationBatch, np.ndarray, np.ndarray]],
+    samples: list[tuple[Observation, int, float]],
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> WaveStats:
-    """Clipped-surrogate minimization with a KL(old || new) stop.
+    """Clipped-surrogate minimization with a KL(old || new) stop over
+    ``(observation, action, advantage)`` samples, batched per job count in
+    increasing order.
 
     The violating update stays applied; the loop just stops afterwards,
     so the number of applied updates never exceeds ``max_updates``.
     """
-    sizes = [len(a) for _, a, _ in groups]
-    offsets = np.cumsum([0] + sizes)
-    total = sum(sizes)
+    by_jc: dict[int, list[tuple[Observation, int, float]]] = {}
+    for sample in samples:
+        by_jc.setdefault(sample[0].job_count, []).append(sample)
+    groups = []
+    for jc in sorted(by_jc):
+        observations, actions, advantages = zip(*by_jc[jc])
+        batch = ObservationBatch.from_observations(list(observations))
+        groups.append((batch, np.array(actions), np.array(advantages)))
+    offsets = np.cumsum([0] + [len(a) for _, a, _ in groups])
+    total = len(samples)
     stats = WaveStats(samples=total)
     old_probs = []
     old_terms = []  # p_old * log p_old, constant over the wave
@@ -386,9 +378,7 @@ def train_feedback(
     if not raw:
         return WaveStats(skipped=True, skip_reason="all completions identical")
     advantages = minmax_scale([r[2] for r in raw])
-    samples = _group_samples(
-        [(obs, action, adv) for (obs, action, _), adv in zip(raw, advantages)]
-    )
+    samples = [(obs, action, adv) for (obs, action, _), adv in zip(raw, advantages)]
     return _surrogate_update_loop(params, optimizer, samples, config, rng)
 
 
@@ -419,8 +409,7 @@ def train_initial(
     if not raw:
         warnings.warn("initial-solution wave skipped: no prefix spread", stacklevel=2)
         return WaveStats(skipped=True, skip_reason="no prefix spread")
-    samples = _group_samples(raw)
-    return _surrogate_update_loop(params, optimizer, samples, config, rng)
+    return _surrogate_update_loop(params, optimizer, raw, config, rng)
 
 
 # -- training loop -------------------------------------------------------
@@ -496,8 +485,9 @@ def train_loop(
                 best_mean, best_epoch = mean_greedy, epoch
         best_params, _ = load_params(out / "best.ckpt")
 
+    policy = NetPolicy(params, net_config)
+
     def greedy_means() -> list[int]:
-        policy = NetPolicy(params, net_config)
         return [
             rollout(inst, policy, horizon=config.horizon, next_ops=config.next_ops).makespan
             for inst in instances
@@ -508,16 +498,8 @@ def train_loop(
 
     for epoch in range(resume_epoch + 1, config.epochs + 1):
         t0 = time.monotonic()
-        demos = generate_demos(
-            instances,
-            params,
-            config.actor_count,
-            config.expert_evals_start + config.expert_evals_step * (epoch - 1),
-            config.expert_patience,
-            seed=[config.seed, epoch],
-            horizon=config.horizon,
-            next_ops=config.next_ops,
-        )
+        evals = config.expert_evals_start + config.expert_evals_step * (epoch - 1)
+        demos = generate_demos(instances, policy, config, [config.seed, epoch], evals)
         update_rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch, 1]))
         fb = train_feedback(params, demos, config, optimizer, update_rng)
         init_stats = train_initial(params, demos, config, optimizer, update_rng)

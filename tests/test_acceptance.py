@@ -338,7 +338,7 @@ def test_criterion_7_training_algebra():
     episode = sample_episodes(inst, NetPolicy(params), [np.random.default_rng(0)], 10)[0]
     demo = ActorDemo(actor=episode, expert=episode, ratio=1.0)
     before = {k: v.data.copy() for k, v in params.items()}
-    batches = [DemoBatch(instance=inst, slice_index=1, demos=[demo])]
+    batches = [DemoBatch(slice_index=1, demos=[demo])]
     stats = run_wave(train_feedback, params, batches, TrainConfig())
     neutral = (
         stats.skipped
@@ -354,7 +354,8 @@ def test_criterion_7_training_algebra():
     budget_cfg = TrainConfig(max_updates=10, minibatch_size=None, lr=0.5, kl_limit=1e-9)
     from cpshop.train import generate_demos
 
-    demos2 = generate_demos([inst2], params2, 3, evals=150, patience=10, seed=2)
+    demo_cfg = TrainConfig(actor_count=3, expert_patience=10)
+    demos2 = generate_demos([inst2], NetPolicy(params2), demo_cfg, seed=2, evals=150)
     stats2 = run_wave(train_feedback, params2, demos2, budget_cfg)
     checks.append(
         ("kl stop", (not stats2.skipped) and stats2.applied_updates == 1

@@ -110,6 +110,34 @@ def test_solve_exact_with_zero_budget(tmp_path, capsys):
     assert validate(inst, read_solution(out))
 
 
+def test_solve_exact_budget_replaces_the_node_cap(tmp_path, monkeypatch):
+    import cpshop.cli
+
+    calls = []
+    original = cpshop.cli.solve_exact
+
+    def recording(instance, **kwargs):
+        calls.append(kwargs)
+        return original(instance, **kwargs)
+
+    monkeypatch.setattr(cpshop.cli, "solve_exact", recording)
+    path = tmp_path / "inst.txt"
+    write_instance(generate_instance(3, 3, seed=10), path, "taillard")
+    assert main(["solve", "--instance", str(path), "--method", "exact", "--budget", "2.5"]) == EXIT_OK
+    assert main(["solve", "--instance", str(path), "--method", "exact"]) == EXIT_OK
+    # a budget bounds the search by time alone; without one, the default node cap holds
+    assert calls == [{"time_limit": 2.5, "node_limit": None}, {}]
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1", "-inf", "ten"])
+def test_solve_rejects_a_budget_that_is_not_finite_and_nonnegative(tmp_path, capsys, budget):
+    path = tmp_path / "inst.txt"
+    write_instance(generate_instance(3, 3, seed=10), path, "taillard")
+    code = main(["solve", "--instance", str(path), "--method", "exact", f"--budget={budget}"])
+    assert code == EXIT_USAGE
+    assert "finite number >= 0" in capsys.readouterr().err
+
+
 def test_solve_missing_file_is_data_error(capsys):
     code = main(["solve", "--instance", "/nonexistent/file.txt"])
     assert code == EXIT_DATA

@@ -110,6 +110,12 @@ def test_serialize_parse_identity_text():
     assert parse_instance_text(text, "orlib").jobs == inst.jobs
 
 
+def test_orlib_writer_refuses_a_job_with_no_operations():
+    inst = Instance("e", 2, 2, ((), (Operation(0, 3), Operation(1, 2))))
+    with pytest.raises(ValueError, match="job 0 has no operations"):
+        serialize_instance(inst, "orlib")
+
+
 def test_generate_deterministic():
     a = generate_instance(5, 4, seed=7)
     b = generate_instance(5, 4, seed=7)

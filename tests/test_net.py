@@ -18,7 +18,7 @@ from cpshop.net import (
     save_params,
 )
 from cpshop.rules import greedy_rollout, rollout
-from cpshop.train import generate_demos
+from cpshop.train import TrainConfig, generate_demos
 
 
 def observations_for(seed, count=3, jobs=4, machines=4):
@@ -115,7 +115,8 @@ def test_array_weights_give_the_tensor_pass_bytes(size, batch_size):
 def wave_batch():
     """Actor and expert observations of one demo wave, as training stacks them."""
     instances = [generate_instance(5, 5, seed=s) for s in (41, 42)]
-    batches = generate_demos(instances, init_params(seed=0), 4, evals=150, patience=10, seed=0)
+    config = TrainConfig(actor_count=4, expert_patience=10)
+    batches = generate_demos(instances, NetPolicy(init_params(seed=0)), config, seed=0, evals=150)
     observations = [
         obs
         for b in batches

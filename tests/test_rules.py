@@ -313,16 +313,14 @@ def sample_one_actor(instance, policy, rng, temperature):
     time, as ensembles did before their actors were stepped in lockstep."""
     env = JobShopEnv(instance)
     obs = env.reset()
-    run = Rollout(solution=None, makespan=0)
+    observations, actions = [], []
     while not env.done:
         probs = masked_softmax(policy.logits(obs), obs.mask, temperature)
         action = int(rng.choice(len(probs), p=probs))
-        run.observations.append(obs)
-        run.actions.append(action)
+        observations.append(obs)
+        actions.append(action)
         obs = env.step(action).observation
-    run.solution = env.solution()
-    run.makespan = run.solution.makespan
-    return run
+    return Rollout(env.solution(), observations, actions)
 
 
 def ensemble_one_actor_at_a_time(instance, policy, actor_count, seed):

@@ -1,12 +1,14 @@
 """Pins the package's schedules across refactors: one digest over greedy
 rule schedules, a budgeted local search and the exact solver, one over
 the local search at every ta-like size and a warm-started prefix completion,
-and one over node-limited exact searches.
+one over node-limited exact searches, and one over a short training run.
 
-Every input here is built and dispatched with integer arithmetic and
-PCG64 draws only, so the digest does not depend on the platform. A change
-to the digest means some schedule changed; if that is intended, record
-the new digest with the change that explains it.
+Every schedule input here is built and dispatched with integer arithmetic
+and PCG64 draws only, so those digests do not depend on the platform. The
+training digest also covers floating-point parameters, so it holds for the
+numpy version CI installs. A change to a digest means some schedule or
+trained value changed; if that is intended, record the new digest with the
+change that explains it.
 """
 
 import hashlib
@@ -16,10 +18,12 @@ from cpshop.env import JobShopEnv
 from cpshop.expert import complete_prefix, improve, solve_exact
 from cpshop.instances import generate_instance, parse_instance_text
 from cpshop.rules import RULES, RulePolicy, greedy_rollout, masked_argmax
+from cpshop.train import TrainConfig, train_loop
 
 EXPECTED_DIGEST = "30d78fa8dcdba0bc01601461be375eced0e563a5bf806d43ddf078f1b53d1c1b"
 LOCAL_SEARCH_DIGEST = "461e45df0eb9bc83cc336045f20f2f84dcafc84d4ad1632bd6241a1d7e5d87c8"
 EXACT_DIGEST = "5262f78803b0cf248445653b64cb200ae33df23fd45318bd49f5f07e3e14738e"
+TRAIN_DIGEST = "d7c6e88ed3a08f89d20cf1d56dffbfac650975ca3962900e0acfda42b1c1da6d"
 
 
 def firsts_of(name: str, sizes) -> list:
@@ -96,3 +100,25 @@ def exact_results() -> list:
 def test_exact_search_matches_the_recorded_digest():
     digest = hashlib.sha256(repr(exact_results()).encode()).hexdigest()
     assert digest == EXACT_DIGEST
+
+
+def training_digest() -> str:
+    """Two epochs on two 5x4 instances with four actors, in which both
+    waves apply updates: the trained and best parameters, the best epoch
+    and greedy mean, and every metric but ``wall_s``."""
+    result = train_loop(
+        [generate_instance(5, 4, seed=s) for s in (1, 2)],
+        TrainConfig(epochs=2, actor_count=4, seed=0),
+    )
+    digest = hashlib.sha256()
+    for params in (result.params, result.best_params):
+        for name in sorted(params):
+            digest.update(name.encode())
+            digest.update(params[name].data.tobytes())
+    rows = [{k: v for k, v in row.items() if k != "wall_s"} for row in result.metrics]
+    digest.update(repr((result.best_epoch, result.best_greedy_mean, rows)).encode())
+    return digest.hexdigest()
+
+
+def test_training_matches_the_recorded_digest():
+    assert training_digest() == TRAIN_DIGEST

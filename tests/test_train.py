@@ -22,7 +22,6 @@ from cpshop.train import (
     ActorDemo,
     DemoBatch,
     TrainConfig,
-    _group_samples,
     _surrogate_update_loop,
     generate_demos,
     minmax_scale,
@@ -137,9 +136,8 @@ def test_solution_actions_handles_delays():
 def small_demo_wave(seed=0, actor_count=3):
     inst = generate_instance(4, 4, seed=31)
     params = init_params(seed=seed)
-    return inst, params, generate_demos(
-        [inst], params, actor_count, evals=150, patience=10, seed=seed
-    )
+    config = TrainConfig(actor_count=actor_count, expert_patience=10)
+    return inst, params, generate_demos([inst], NetPolicy(params), config, seed=seed, evals=150)
 
 
 def test_generate_demos_shapes_and_ratios():
@@ -184,16 +182,14 @@ def sample_per_observation(instance, policy, rng):
     through ``policy.logits``, with no batching."""
     env = JobShopEnv(instance)
     obs = env.reset()
-    run = Rollout(solution=None, makespan=0)
+    observations, actions = [], []
     while not env.done:
         probs = masked_softmax(policy.logits(obs), obs.mask)
         action = int(rng.choice(len(probs), p=probs))
-        run.observations.append(obs)
-        run.actions.append(action)
+        observations.append(obs)
+        actions.append(action)
         obs = env.step(action).observation
-    run.solution = env.solution()
-    run.makespan = run.solution.makespan
-    return run
+    return Rollout(env.solution(), observations, actions)
 
 
 @pytest.mark.parametrize("jobs,machines", [(3, 3), (10, 5), (15, 15), (30, 5)])
@@ -238,8 +234,9 @@ def test_generate_demos_batches_one_forward_per_decision_round(monkeypatch):
 
     monkeypatch.setattr(cpshop.net, "forward_logits", counting)
     instances = [generate_instance(4, 4, seed=31), generate_instance(5, 3, seed=32)]
-    params = init_params(seed=0)
-    batches = generate_demos(instances, params, 4, evals=20, patience=5, seed=0)
+    policy = NetPolicy(init_params(seed=0))
+    config = TrainConfig(actor_count=4, expert_patience=5)
+    batches = generate_demos(instances, policy, config, seed=0, evals=20)
     longest = [max(len(d.actor.actions) for d in b.demos) for b in batches]
     assert len(calls) <= sum(longest)
     assert sum(calls) == sum(len(d.actor.actions) for b in batches for d in b.demos)
@@ -256,7 +253,8 @@ def test_generate_demos_warm_starts_from_the_actor_episode(monkeypatch):
 
     monkeypatch.setattr(cpshop.train, "complete_prefix", recording)
     instances = [generate_instance(4, 4, seed=31), generate_instance(5, 3, seed=32)]
-    batches = generate_demos(instances, init_params(seed=0), 3, evals=40, patience=5, seed=1)
+    config = TrainConfig(actor_count=3, expert_patience=5)
+    batches = generate_demos(instances, NetPolicy(init_params(seed=0)), config, seed=1, evals=40)
     demos = [(b, d) for b in batches for d in b.demos]
     assert len(calls) == len(demos)
     for (instance, warm, solution), (batch, demo) in zip(calls, demos):
@@ -288,9 +286,8 @@ def test_generate_demos_steps_each_prefix_once(monkeypatch):
     monkeypatch.setattr(cpshop.train, "complete_prefix", recording)
     instances = [generate_instance(4, 4, seed=31), generate_instance(5, 3, seed=32)]
     actor_count = 3
-    batches = generate_demos(
-        instances, init_params(seed=0), actor_count, evals=40, patience=5, seed=1
-    )
+    config = TrainConfig(actor_count=actor_count, expert_patience=5)
+    batches = generate_demos(instances, NetPolicy(init_params(seed=0)), config, seed=1, evals=40)
     # every env settles once, when built: one for sampling and one for the
     # cut, per actor
     assert len(resets) == 2 * actor_count * len(instances)
@@ -319,8 +316,7 @@ def test_update_survives_underflowed_action_probability():
     action = int(np.argmin(np.where(obs.mask, logits, np.inf)))
     config = TrainConfig()
     stats = _surrogate_update_loop(
-        params, Adam(params, lr=config.lr), _group_samples([(obs, action, 1.0)]), config,
-        np.random.default_rng(0),
+        params, Adam(params, lr=config.lr), [(obs, action, 1.0)], config, np.random.default_rng(0)
     )
     # the loop raises on a non-finite surrogate loss
     assert stats.applied_updates >= 1 and np.isfinite(stats.final_kl)
@@ -328,12 +324,9 @@ def test_update_survives_underflowed_action_probability():
 
 
 def test_generate_demos_rejects_empty():
-    params = init_params(seed=0)
+    policy = NetPolicy(init_params(seed=0))
     with pytest.raises(ValueError):
-        generate_demos([], params, 2, evals=4000, patience=60, seed=0)
-    inst = generate_instance(3, 3, seed=1)
-    with pytest.raises(ValueError):
-        generate_demos([inst], params, 0, evals=4000, patience=60, seed=0)
+        generate_demos([], policy, TrainConfig(actor_count=2, expert_patience=60), seed=0, evals=4000)
 
 
 # -- feedback wave -----------------------------------------------------
@@ -344,7 +337,7 @@ def identical_demo_batch(ratio=1.0):
     params = init_params(seed=0)
     episode = sample_episode(inst, NetPolicy(params), np.random.default_rng(0))
     demo = ActorDemo(actor=episode, expert=episode, ratio=ratio)
-    return params, [DemoBatch(instance=inst, slice_index=1, demos=[demo])]
+    return params, [DemoBatch(slice_index=1, demos=[demo])]
 
 
 def test_feedback_wave_neutral_when_no_improvement():
@@ -427,10 +420,12 @@ def two_prefix_demos():
     demos = []
     for ep, makespan in zip(eps, (100, 120)):
         expert = Rollout(
-            solution=ep.solution, makespan=makespan, observations=ep.observations, actions=ep.actions
+            solution=replace(ep.solution, makespan=makespan),
+            observations=ep.observations,
+            actions=ep.actions,
         )
         demos.append(ActorDemo(actor=ep, expert=expert, ratio=0.9))
-    return inst, params, [DemoBatch(instance=inst, slice_index=1, demos=demos)]
+    return inst, params, [DemoBatch(slice_index=1, demos=demos)]
 
 
 def test_initial_wave_reinforces_better_prefix():
