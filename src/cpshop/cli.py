@@ -151,6 +151,8 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_solve(args) -> int:
+    if args.budget is not None and args.method != "exact":
+        raise UsageError(f"--budget applies only to --method exact, not {args.method!r}")
     instance = parse_instance(args.instance, args.fmt)
     if args.method == "exact":
         # a budget alone bounds the search; without one, the node cap does

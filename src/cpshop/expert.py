@@ -20,9 +20,12 @@ cannot change a result. A swap that passes is then rejected unless every
 longest path runs through its arc (van Laarhoven, Aarts & Lenstra 1992),
 checked against the spans of the critical operations: otherwise a longest
 path survives the swap. So only swaps that improve and the perturbations
-are re-timed, by ``cpshop.model.earliest_starts`` as in ``compress``.
-Pinned operations are never moved, which supports completing a frozen
-schedule prefix.
+are re-timed. ``cpshop.model.earliest_starts`` and one reverse pass give
+the heads, tails and a topological order of the start, which ``_Timing``
+keeps from swap to swap: it repairs the order with a single-arc
+Pearce-Kelly update and relaxes only the heads after, and the tails
+before, the swapped pair. Pinned operations are never moved, which
+supports completing a frozen schedule prefix.
 
 ``complete_prefix`` turns a partial dispatch into a full high-quality
 schedule: it continues an environment stepped to the cut, finishes a copy
@@ -159,22 +162,108 @@ def solve_exact(
 # -- local search ----------------------------------------------------------
 
 
-def _critical(index: OperationIndex, heads, order, machine_next, makespan):
-    """Tails (longest path from each operation's end to the sink, by one
-    reverse pass over ``order``) and whether each operation lies on a
-    longest path: head + p + tail equals the makespan. The tails feed the
-    head/tail screen of the candidate swaps, and the critical flags the
-    candidates and the spans of the longest-path test."""
-    proc, job_next = index.proc, index.job_next
-    tails = [0] * len(proc)
-    for o in reversed(order):
-        succ = job_next[o]
-        tail = proc[succ] + tails[succ] if succ >= 0 else 0
-        succ = machine_next[o]
-        if succ >= 0 and proc[succ] + tails[succ] > tail:
-            tail = proc[succ] + tails[succ]
-        tails[o] = tail
-    return tails, [h + p + t == makespan for h, p, t in zip(heads, proc, tails)]
+class _Timing:
+    """Heads, tails and a topological order of the operations under fixed
+    machine sequences, kept up to date across adjacent swaps.
+
+    ``order`` is a topological order of the job and machine arcs and
+    ``pos`` each operation's place in it. ``heads``, ``tails``, ``proc``
+    and ``pos`` hold one more entry, at index ``n``: a sentinel with head,
+    tail and processing time 0 that sits after every operation. A missing
+    job or machine neighbour is ``-1``, which indexes the sentinel, so the
+    relaxations below read it without a test.
+    """
+
+    def __init__(self, index: OperationIndex, seqs: list[list[int]]):
+        result = earliest_starts(index, seqs)
+        assert result is not None  # the sequences of a feasible schedule
+        heads, self.order, self.machine_next = result
+        n = len(heads)
+        self.seqs = seqs
+        self.proc = [*index.proc, 0]
+        self.job_next = index.job_next
+        # o's job predecessor is o - 1 when that operation's job successor is o
+        self.job_prev = [o - 1 if o and index.job_next[o - 1] == o else -1 for o in range(n)]
+        self.machine_prev = [-1] * n
+        for seq in seqs:
+            for a, b in zip(seq, seq[1:]):
+                self.machine_prev[b] = a
+        self.pos = [0] * n + [n]
+        for slot, o in enumerate(self.order):
+            self.pos[o] = slot
+        self.heads = [*heads, 0]
+        self.tails = [0] * (n + 1)
+        self._relax_tails(n - 1)
+
+    def _relax_tails(self, last: int) -> None:
+        """Recompute the tails of ``order[:last + 1]``, last to first."""
+        proc, tails, job_next, machine_next = self.proc, self.tails, self.job_next, self.machine_next
+        for o in reversed(self.order[: last + 1]):
+            p, q = job_next[o], machine_next[o]
+            t, e = proc[p] + tails[p], proc[q] + tails[q]
+            tails[o] = t if t > e else e
+
+    def _link(self, seq: list[int], i: int, a: int, x: int, y: int, b: int) -> None:
+        """Make ``seq[i], seq[i + 1]`` the pair ``x, y``, linked ``a -> x -> y -> b``."""
+        seq[i], seq[i + 1] = x, y
+        machine_prev, machine_next = self.machine_prev, self.machine_next
+        if a >= 0:
+            machine_next[a] = x
+        if b >= 0:
+            machine_prev[b] = y
+        machine_prev[x], machine_next[x] = a, y
+        machine_prev[y], machine_next[y] = x, b
+
+    def swap(self, m: int, i: int) -> bool:
+        """Swap ``u = seqs[m][i]`` and ``v = seqs[m][i + 1]`` and re-time the
+        heads and tails; or, when the swap would close a cycle, leave every
+        field unchanged and return False.
+
+        The order is repaired by a single-arc Pearce-Kelly update (Pearce &
+        Kelly 2006): the new arc ``v -> u`` breaks it only between ``pos[u]``
+        and ``pos[v]``. The operations there that ``u`` reaches must follow
+        those that reach ``v``, so the two sets trade slots, each in its old
+        order. Heads change only from ``pos[u]`` on, tails only up to
+        ``pos[v]``.
+        """
+        seq = self.seqs[m]
+        u, v = seq[i], seq[i + 1]
+        a, b = self.machine_prev[u], self.machine_next[v]
+        self._link(seq, i, a, v, u, b)
+        pos, job_next, machine_next = self.pos, self.job_next, self.machine_next
+        lo, hi = pos[u], pos[v]
+        forward = {u}
+        stack = [u]
+        while stack:
+            o = stack.pop()
+            for s in (job_next[o], machine_next[o]):
+                if s == v:  # u reaches v, so v -> u closes a cycle
+                    self._link(seq, i, a, u, v, b)
+                    return False
+                if pos[s] < hi and s not in forward:
+                    forward.add(s)
+                    stack.append(s)
+        backward = {v}
+        stack = [v]
+        job_prev, machine_prev = self.job_prev, self.machine_prev
+        while stack:
+            o = stack.pop()
+            for s in (job_prev[o], machine_prev[o]):
+                if s >= 0 and pos[s] > lo and s not in backward:
+                    backward.add(s)
+                    stack.append(s)
+        moved = [*sorted(backward, key=pos.__getitem__), *sorted(forward, key=pos.__getitem__)]
+        order = self.order
+        for slot, o in zip(sorted(map(pos.__getitem__, moved)), moved):
+            order[slot] = o
+            pos[o] = slot
+        proc, heads = self.proc, self.heads
+        for o in order[lo:]:
+            p, q = job_prev[o], machine_prev[o]
+            h, e = heads[p] + proc[p], heads[q] + proc[q]
+            heads[o] = h if h > e else e
+        self._relax_tails(hi)
+        return True
 
 
 def _swap_bound(index: OperationIndex, heads, tails, seq, i) -> int:
@@ -253,10 +342,10 @@ def improve(
         raise ValueError(f"cannot improve infeasible solution: {report.violation}")
     # a feasible schedule's start order is its compressed one (p >= 1)
     seqs = machine_sequences(instance, solution)
-    current = earliest_starts(index, seqs)
-    assert current is not None
-    makespan = index.makespan(current[0])
-    best_heads = current[0]
+    timing = _Timing(index, seqs)
+    heads, tails = timing.heads, timing.tails  # updated in place by each swap
+    makespan = index.makespan(heads)
+    best_heads = heads.copy()
     best_makespan = makespan
     # swaps never move a pinned operation, so these positions stay movable
     movable = [
@@ -268,11 +357,11 @@ def improve(
     used = 0
     stale = 0
     while used < evals and stale <= patience and not out_of_time():
-        tails, critical = _critical(index, *current, makespan)
+        # on a longest path: head + p + tail equals the makespan
+        critical = [h + p + t == makespan for h, p, t in zip(heads, index.proc, tails)]
         candidates = [
             (m, i) for m, i in movable if critical[seqs[m][i]] and critical[seqs[m][i + 1]]
         ]
-        heads = current[0]
         spans = None  # the critical operations' (head, end), built on first use
         improved = False
         for m, i in candidates:
@@ -288,16 +377,16 @@ def improve(
             # nor can one that some longest path avoids
             if not _on_every_longest_path(index, heads, spans, seq[i], seq[i + 1]):
                 continue
-            seq[i], seq[i + 1] = seq[i + 1], seq[i]
-            result = earliest_starts(index, seqs)
+            acyclic = timing.swap(m, i)
+            new_makespan = index.makespan(heads)
             # reversing an arc of every longest path leaves no cycle, and
             # the screen bounds the new paths through it below the makespan
-            assert result is not None and index.makespan(result[0]) < makespan
-            current, makespan = result, index.makespan(result[0])
+            assert acyclic and new_makespan < makespan
+            makespan = new_makespan
             improved = True
             if makespan < best_makespan:
                 best_makespan = makespan
-                best_heads = current[0]
+                best_heads = heads.copy()
                 stale = 0
             break
         if improved:
@@ -311,14 +400,11 @@ def improve(
             if out_of_time():
                 break
             m, i = movable[int(rng.integers(len(movable)))]
-            seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
-            result = earliest_starts(index, seqs)
             used += 1
-            if result is not None:
-                current, makespan = result, index.makespan(result[0])
+            if timing.swap(m, i):
+                makespan = index.makespan(heads)
                 perturbed = True
                 break
-            seqs[m][i], seqs[m][i + 1] = seqs[m][i + 1], seqs[m][i]
         if not perturbed:
             break
     return index.solution(instance.name, best_heads)

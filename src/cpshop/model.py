@@ -12,12 +12,12 @@ environment performs.
 
 Also provides solution validation, which checks each job's row of starts
 against its row of the instance's ``proc`` and ``machine`` tables, and
-the package's one evaluator of earliest starts under fixed machine
+the package's one full evaluator of earliest starts under fixed machine
 orders. It numbers the operations job by job (:class:`OperationIndex`),
 reads each machine's sequence off a solution and the machine table
 (:func:`machine_sequences`) and computes the heads in one Kahn pass
-(:func:`earliest_starts`). Solution compression and the expert's local
-search both use it.
+(:func:`earliest_starts`). Solution compression uses it, and the expert's
+local search times its start with it before re-timing each swap itself.
 """
 
 from __future__ import annotations

@@ -129,6 +129,19 @@ def test_solve_exact_budget_replaces_the_node_cap(tmp_path, monkeypatch):
     assert calls == [{"time_limit": 2.5, "node_limit": None}, {}]
 
 
+@pytest.mark.parametrize("method", ["mtwr", "fifo", "policy:missing.ckpt"])
+def test_solve_rejects_a_budget_for_a_method_other_than_exact(tmp_path, capsys, method):
+    path = tmp_path / "inst.txt"
+    write_instance(generate_instance(3, 3, seed=10), path, "taillard")
+    out = tmp_path / "sol.txt"
+    code = main(["solve", "--instance", str(path), "--method", method, "--budget", "5",
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--budget applies only to --method exact" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf", "-1", "-inf", "ten"])
 def test_solve_rejects_a_budget_that_is_not_finite_and_nonnegative(tmp_path, capsys, budget):
     path = tmp_path / "inst.txt"

@@ -1,4 +1,5 @@
 import itertools
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -107,6 +108,21 @@ def test_exact_reports_node_count():
 # -- local search ------------------------------------------------------
 
 
+def tails_and_critical(index, heads, order, machine_next, makespan):
+    """Tails (longest path from each operation's end to the sink, by one
+    reverse pass over ``order``) and whether each operation lies on a
+    longest path: head + p + tail equals the makespan."""
+    proc, job_next = index.proc, index.job_next
+    tails = [0] * len(proc)
+    for o in reversed(order):
+        tail = 0
+        for succ in (job_next[o], machine_next[o]):
+            if succ >= 0 and proc[succ] + tails[succ] > tail:
+                tail = proc[succ] + tails[succ]
+        tails[o] = tail
+    return tails, [h + p + t == makespan for h, p, t in zip(heads, proc, tails)]
+
+
 def tight_arc_critical(index, seqs, heads):
     """Reference critical set: every operation reached from one that ends
     at the makespan by walking back along tight job and machine arcs."""
@@ -149,7 +165,7 @@ def test_head_tail_critical_matches_tight_arc_search():
             for _ in range(4):
                 heads, order, machine_next = earliest_starts(index, seqs)
                 makespan = index.makespan(heads)
-                _, flags = expert._critical(index, heads, order, machine_next, makespan)
+                _, flags = tails_and_critical(index, heads, order, machine_next, makespan)
                 reference = tight_arc_critical(index, seqs, heads)
                 assert {o for o, c in enumerate(flags) if c} == reference
                 assert critical_pairs(seqs, reference) == [
@@ -187,7 +203,7 @@ def test_swap_bound_is_a_path_length_after_every_acyclic_swap():
         index = OperationIndex.of(inst)
         seqs = machine_sequences(inst, base)
         heads, order, machine_next = earliest_starts(index, seqs)
-        tails, _ = expert._critical(index, heads, order, machine_next, index.makespan(heads))
+        tails, _ = tails_and_critical(index, heads, order, machine_next, index.makespan(heads))
         for seq in seqs:
             for i in range(len(seq) - 1):
                 bound = expert._swap_bound(index, heads, tails, seq, i)
@@ -198,7 +214,7 @@ def test_swap_bound_is_a_path_length_after_every_acyclic_swap():
                 if result is None:
                     continue
                 after = index.makespan(result[0])
-                new_tails, _ = expert._critical(index, *result, after)
+                new_tails, _ = tails_and_critical(index, *result, after)
                 through = [result[0][o] + index.proc[o] + new_tails[o] for o in (u, v)]
                 assert bound == max(through) <= after
                 checked += 1
@@ -227,7 +243,7 @@ def test_cover_test_passes_exactly_the_improving_screened_swaps():
         for _ in range(6):
             heads, order, machine_next = earliest_starts(index, seqs)
             makespan = index.makespan(heads)
-            tails, critical = expert._critical(index, heads, order, machine_next, makespan)
+            tails, critical = tails_and_critical(index, heads, order, machine_next, makespan)
             spans = [(h, h + p) for h, p, c in zip(heads, index.proc, critical) if c]
             for m, i in critical_pairs(seqs, {o for o, c in enumerate(critical) if c}):
                 seq = seqs[m]
@@ -253,6 +269,74 @@ def test_cover_test_passes_exactly_the_improving_screened_swaps():
     assert improving >= 200 and passed - improving >= 50
 
 
+def timing_state(timing):
+    return ([seq.copy() for seq in timing.seqs], timing.order.copy(), timing.pos.copy(),
+            timing.machine_prev.copy(), timing.machine_next.copy(), timing.heads.copy(),
+            timing.tails.copy())
+
+
+def assert_timing_is_exact(index, timing):
+    """The kept heads and tails are a full re-timing's, and the kept order is
+    topological with positions that agree with it."""
+    heads, order, machine_next = earliest_starts(index, timing.seqs)
+    tails, _ = tails_and_critical(index, heads, order, machine_next, index.makespan(heads))
+    n = len(heads)
+    assert timing.heads == [*heads, 0] and timing.tails == [*tails, 0]
+    assert timing.machine_next == machine_next
+    assert [timing.machine_prev[b] for seq in timing.seqs for b in seq[1:]] == [
+        a for seq in timing.seqs for a in seq[:-1]
+    ]
+    assert sorted(timing.order) == list(range(n))
+    assert [timing.pos[o] for o in timing.order] == list(range(n))
+    for o in range(n):
+        for succ in (index.job_next[o], machine_next[o]):
+            assert succ < 0 or timing.pos[o] < timing.pos[succ]
+
+
+def test_kept_timing_matches_a_full_retiming_after_every_swap():
+    """After every critical, random and cyclic adjacent swap, the heads,
+    tails and order kept across swaps equal those of a full re-timing; a
+    swap that would close a cycle changes nothing."""
+    rng = np.random.default_rng(43)
+    kept = critical_swaps = cyclic = 0
+    for trial in range(36):
+        if trial % 3 == 2:
+            inst = uneven_instance(int(rng.integers(4, 12)), int(rng.integers(2, 7)), rng)
+        else:
+            inst = generate_instance(int(rng.integers(6, 16)), int(rng.integers(4, 16)),
+                                     seed=int(rng.integers(1 << 30)))
+        base = greedy_rollout(inst, RulePolicy(("fifo", "spt", "mtwr")[trial % 3]))
+        if trial % 2:  # a schedule from a search with its first half pinned
+            pinned = {(j, k) for j, ops in enumerate(inst.jobs) for k in range(len(ops) // 2)}
+            base = improve(inst, base, evals=100, seed=trial, pinned=pinned)
+        index = OperationIndex.of(inst)
+        timing = expert._Timing(index, machine_sequences(inst, base))
+        assert_timing_is_exact(index, timing)
+        pairs = [(m, i) for m, seq in enumerate(timing.seqs) for i in range(len(seq) - 1)]
+        for step in range(30):
+            if step % 2:
+                makespan = index.makespan(timing.heads)
+                flags = [h + p + t == makespan
+                         for h, p, t in zip(timing.heads, index.proc, timing.tails)]
+                options = [(m, i) for m, i in pairs
+                           if flags[timing.seqs[m][i]] and flags[timing.seqs[m][i + 1]]]
+            else:
+                options = pairs
+            if not options:
+                continue
+            m, i = options[int(rng.integers(len(options)))]
+            before = timing_state(timing)
+            if timing.swap(m, i):
+                kept += 1
+                critical_swaps += step % 2
+                assert timing.seqs[m][i:i + 2] == before[0][m][i:i + 2][::-1]
+            else:
+                cyclic += 1
+                assert timing_state(timing) == before
+            assert_timing_is_exact(index, timing)
+    assert kept >= 800 and critical_swaps >= 400 and cyclic >= 40
+
+
 def test_improve_retimes_a_candidate_only_when_it_improves(monkeypatch):
     # every re-timing that no perturbation draw precedes is a screened
     # candidate, and each of those lowers the makespan
@@ -269,19 +353,19 @@ def test_improve_retimes_a_candidate_only_when_it_improves(monkeypatch):
             draws.append(len(calls))
             return self.rng.integers(*args)
 
-    def counting(index, seqs, _evaluate=expert.earliest_starts):
-        result = _evaluate(index, seqs)
-        calls.append(None if result is None else index.makespan(result[0]))
-        return result
+    def counting(timing, m, i, _swap=expert._Timing.swap):
+        acyclic = _swap(timing, m, i)
+        calls.append(max(map(operator.add, timing.heads, timing.proc)) if acyclic else None)
+        return acyclic
 
     monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
-    monkeypatch.setattr(expert, "earliest_starts", counting)
+    monkeypatch.setattr(expert._Timing, "swap", counting)
     out = improve(inst, base, evals=3000, patience=20, seed=4)
     assert out.makespan < base.makespan
     perturbations = set(draws)
-    current = calls[0]  # the start
+    current = compress(inst, base).makespan  # the start
     candidates = 0
-    for n, makespan in enumerate(calls[1:], 1):
+    for n, makespan in enumerate(calls):
         if n in perturbations:
             if makespan is not None:  # an acyclic perturbation is kept
                 current = makespan
@@ -324,6 +408,7 @@ def test_improve_evaluates_its_start_once(monkeypatch):
             return _evaluate(index, seqs)
 
         monkeypatch.setattr(module, "earliest_starts", counting)
+    monkeypatch.setattr(expert._Timing, "swap", lambda timing, m, i: calls.append((m, i)))
     out = improve(inst, base, evals=0)
     assert len(calls) == 1
     assert out == compress(inst, base)
@@ -348,18 +433,17 @@ def test_improve_finds_known_gain():
 
 
 def test_improve_stops_at_deadline_mid_pass(monkeypatch):
-    # a fake clock that ticks once per schedule evaluation puts the
-    # deadline inside an improvement pass
+    # a fake clock that ticks once per re-timing puts the deadline inside
+    # an improvement pass
     clock = [0.0]
     seen = []
-    evaluate = expert.earliest_starts
 
-    def ticking_evaluate(index, seqs):
+    def ticking_swap(timing, m, i, _swap=expert._Timing.swap):
         seen.append(clock[0])
         clock[0] += 1.0
-        return evaluate(index, seqs)
+        return _swap(timing, m, i)
 
-    monkeypatch.setattr(expert, "earliest_starts", ticking_evaluate)
+    monkeypatch.setattr(expert._Timing, "swap", ticking_swap)
     monkeypatch.setattr(expert, "time", SimpleNamespace(monotonic=lambda: clock[0]))
     inst = generate_instance(15, 15, seed=2)
     base = greedy_rollout(inst, RulePolicy("spt"))
@@ -369,7 +453,7 @@ def test_improve_stops_at_deadline_mid_pass(monkeypatch):
         out = improve(inst, base, evals=10**6, patience=10**6, time_limit=limit)
         assert validate(inst, out)
         assert out.makespan <= base.makespan
-        assert max(seen) <= limit  # no evaluation starts after the deadline
+        assert max(seen) <= limit  # no re-timing starts after the deadline
         assert len(seen) == int(limit) + 1
 
 

@@ -216,10 +216,13 @@ def test_rollout_records_trace():
     )
     assert len(run.actions) == len(run.observations)
     assert len(run.actions) >= inst.total_operations
-    assert run.makespan == run.solution.makespan
+    # the makespan is the latest end, read off the instance's own tables
+    assert run.makespan == max(
+        s + p for row, procs in zip(run.solution.starts, inst.proc.tolist())
+        for s, p in zip(row, procs)
+    )
     # replaying the recorded actions reproduces the schedule
     env = JobShopEnv(inst)
-    env.reset()
     for action in run.actions:
         env.step(action)
     assert env.solution() == run.solution
