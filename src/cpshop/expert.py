@@ -24,8 +24,13 @@ are re-timed. ``cpshop.model.earliest_starts`` and one reverse pass give
 the heads, tails and a topological order of the start, which ``_Timing``
 keeps from swap to swap: it repairs the order with a single-arc
 Pearce-Kelly update and relaxes only the heads after, and the tails
-before, the swapped pair. Pinned operations are never moved, which
-supports completing a frozen schedule prefix.
+before, the swapped pair. It reads the makespan as the largest end of a
+job's last operation, and the critical operations by a walk back from
+the job-last ones that end at the makespan along tight job and machine
+arcs (a predecessor's end equals the head), so a pass does not scan
+every operation; the candidates are the critical machine-adjacent pairs
+of that set. Pinned operations are never moved, which supports
+completing a frozen schedule prefix.
 
 ``complete_prefix`` turns a partial dispatch into a full high-quality
 schedule: it continues an environment stepped to the cut, finishes a copy
@@ -35,9 +40,10 @@ warm-started by a known completion.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 
@@ -74,20 +80,31 @@ def _conflict_set(proc, machine, n_ops, cursor, ready, free):
     return best_m, conflict
 
 
+def _deadline(time_limit: float | None) -> float | None:
+    """The ``time.monotonic()`` reading at which ``time_limit`` seconds run
+    out, or None for no limit; ``inf`` never runs out."""
+    if time_limit is None:
+        return None
+    if math.isnan(time_limit):
+        raise ValueError(f"time_limit must be a number of seconds, not {time_limit}")
+    return time.monotonic() + time_limit
+
+
 def solve_exact(
     instance: Instance,
     time_limit: float | None = None,
     node_limit: int | None = 200_000,
 ) -> ExactResult:
     """Branch-and-bound over active schedules; anytime under a budget.
-    ``time_limit`` ends the search only once it has found a schedule."""
+    ``time_limit`` ends the search only once it has found a schedule; a
+    NaN one raises ``ValueError``."""
     jc = instance.job_count
     mc = instance.machine_count
     n_ops = instance.n_ops.tolist()
     proc = instance.proc.tolist()
     machine = instance.machine.tolist()
     total = sum(n_ops)
-    deadline = np.inf if time_limit is None else time.monotonic() + time_limit
+    deadline = _deadline(time_limit)
 
     best_starts: list[list[int]] | None = None
     best_makespan = np.inf
@@ -110,7 +127,8 @@ def solve_exact(
         if node_limit is not None and nodes > node_limit:
             exhausted = False
             break
-        if best_starts is not None and nodes % 256 == 0 and time.monotonic() > deadline:
+        if (deadline is not None and best_starts is not None and nodes % 256 == 0
+                and time.monotonic() > deadline):
             exhausted = False
             break
         if scheduled == total:
@@ -191,6 +209,12 @@ class _Timing:
         self.pos = [0] * n + [n]
         for slot, o in enumerate(self.order):
             self.pos[o] = slot
+        self.place: list[tuple[int, int]] = [(0, 0)] * n  # (machine, slot) in seqs
+        for m, seq in enumerate(seqs):
+            for i, o in enumerate(seq):
+                self.place[o] = (m, i)
+        # only a job's last operation can end at the makespan
+        self.last = [b - 1 for a, b in zip(index.first, index.first[1:]) if b > a]
         self.heads = [*heads, 0]
         self.tails = [0] * (n + 1)
         self._relax_tails(n - 1)
@@ -203,9 +227,49 @@ class _Timing:
             t, e = proc[p] + tails[p], proc[q] + tails[q]
             tails[o] = t if t > e else e
 
-    def _link(self, seq: list[int], i: int, a: int, x: int, y: int, b: int) -> None:
-        """Make ``seq[i], seq[i + 1]`` the pair ``x, y``, linked ``a -> x -> y -> b``."""
+    def makespan(self) -> int:
+        """The largest end of a job's last operation."""
+        heads, proc = self.heads, self.proc
+        return max((heads[o] + proc[o] for o in self.last), default=0)
+
+    def critical(self, makespan: int) -> set[int]:
+        """The operations on a longest path, given the current ``makespan``.
+
+        A walk back from the job-last operations that end at the makespan,
+        along the job and machine arcs ``q -> o`` that are tight
+        (``heads[q] + proc[q] == heads[o]``). With exact heads and tails
+        this is the set where head + processing time + tail equals the
+        makespan (Taillard 1994), read off without scanning every operation.
+        """
+        heads, proc, job_prev, machine_prev = self.heads, self.proc, self.job_prev, self.machine_prev
+        found = {o for o in self.last if heads[o] + proc[o] == makespan}
+        stack = list(found)
+        while stack:
+            o = stack.pop()
+            h = heads[o]
+            for q in (job_prev[o], machine_prev[o]):
+                if q >= 0 and heads[q] + proc[q] == h and q not in found:
+                    found.add(q)
+                    stack.append(q)
+        return found
+
+    def candidates(self, critical: set[int], pins: set[int]) -> list[tuple[int, int]]:
+        """The ``(machine, slot)`` of every critical operation whose machine
+        successor is critical too, neither of them pinned, in machine then
+        slot order."""
+        machine_next, place = self.machine_next, self.place
+        return sorted(
+            place[o]
+            for o in critical
+            if machine_next[o] in critical and o not in pins and machine_next[o] not in pins
+        )
+
+    def _link(self, m: int, i: int, a: int, x: int, y: int, b: int) -> None:
+        """Make ``seqs[m][i], seqs[m][i + 1]`` the pair ``x, y``, linked
+        ``a -> x -> y -> b``."""
+        seq = self.seqs[m]
         seq[i], seq[i + 1] = x, y
+        self.place[x], self.place[y] = (m, i), (m, i + 1)
         machine_prev, machine_next = self.machine_prev, self.machine_next
         if a >= 0:
             machine_next[a] = x
@@ -229,7 +293,7 @@ class _Timing:
         seq = self.seqs[m]
         u, v = seq[i], seq[i + 1]
         a, b = self.machine_prev[u], self.machine_next[v]
-        self._link(seq, i, a, v, u, b)
+        self._link(m, i, a, v, u, b)
         pos, job_next, machine_next = self.pos, self.job_next, self.machine_next
         lo, hi = pos[u], pos[v]
         forward = {u}
@@ -238,7 +302,7 @@ class _Timing:
             o = stack.pop()
             for s in (job_next[o], machine_next[o]):
                 if s == v:  # u reaches v, so v -> u closes a cycle
-                    self._link(seq, i, a, u, v, b)
+                    self._link(m, i, a, u, v, b)
                     return False
                 if pos[s] < hi and s not in forward:
                     forward.add(s)
@@ -325,10 +389,11 @@ def improve(
     """Critical-path adjacent-swap local search; never worsens the input.
 
     ``pinned`` operations keep their machine-sequence positions, so any
-    schedule prefix they form survives re-timing unchanged in order.
+    schedule prefix they form survives re-timing unchanged in order. A NaN
+    ``time_limit`` raises ``ValueError``; ``inf`` means no limit.
     """
     rng = np.random.default_rng(seed)
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    deadline = _deadline(time_limit)
 
     def out_of_time() -> bool:
         return deadline is not None and time.monotonic() > deadline
@@ -344,9 +409,9 @@ def improve(
     seqs = machine_sequences(instance, solution)
     timing = _Timing(index, seqs)
     heads, tails = timing.heads, timing.tails  # updated in place by each swap
-    makespan = index.makespan(heads)
-    best_heads = heads.copy()
+    makespan = timing.makespan()
     best_makespan = makespan
+    best_heads = None  # a copy of the best heads; None while they are the current ones
     # swaps never move a pinned operation, so these positions stay movable
     movable = [
         (m, i)
@@ -357,11 +422,8 @@ def improve(
     used = 0
     stale = 0
     while used < evals and stale <= patience and not out_of_time():
-        # on a longest path: head + p + tail equals the makespan
-        critical = [h + p + t == makespan for h, p, t in zip(heads, index.proc, tails)]
-        candidates = [
-            (m, i) for m, i in movable if critical[seqs[m][i]] and critical[seqs[m][i + 1]]
-        ]
+        critical = timing.critical(makespan)
+        candidates = timing.candidates(critical, pins)
         spans = None  # the critical operations' (head, end), built on first use
         improved = False
         for m, i in candidates:
@@ -373,12 +435,12 @@ def improve(
             if _swap_bound(index, heads, tails, seq, i) >= makespan:
                 continue
             if spans is None:
-                spans = [(h, h + p) for h, p in compress(zip(heads, index.proc), critical)]
+                spans = [(heads[o], heads[o] + index.proc[o]) for o in critical]
             # nor can one that some longest path avoids
             if not _on_every_longest_path(index, heads, spans, seq[i], seq[i + 1]):
                 continue
             acyclic = timing.swap(m, i)
-            new_makespan = index.makespan(heads)
+            new_makespan = timing.makespan()
             # reversing an arc of every longest path leaves no cycle, and
             # the screen bounds the new paths through it below the makespan
             assert acyclic and new_makespan < makespan
@@ -386,7 +448,7 @@ def improve(
             improved = True
             if makespan < best_makespan:
                 best_makespan = makespan
-                best_heads = heads.copy()
+                best_heads = None
                 stale = 0
             break
         if improved:
@@ -395,6 +457,8 @@ def improve(
         # perturb: random feasible adjacent swap of unpinned operations
         if not movable:
             break
+        if best_heads is None:
+            best_heads = heads.copy()
         perturbed = False
         for _ in range(8):
             if out_of_time():
@@ -402,12 +466,12 @@ def improve(
             m, i = movable[int(rng.integers(len(movable)))]
             used += 1
             if timing.swap(m, i):
-                makespan = index.makespan(heads)
+                makespan = timing.makespan()
                 perturbed = True
                 break
         if not perturbed:
             break
-    return index.solution(instance.name, best_heads)
+    return index.solution(instance.name, heads if best_heads is None else best_heads)
 
 
 def complete_prefix(

@@ -272,33 +272,51 @@ def test_cover_test_passes_exactly_the_improving_screened_swaps():
 def timing_state(timing):
     return ([seq.copy() for seq in timing.seqs], timing.order.copy(), timing.pos.copy(),
             timing.machine_prev.copy(), timing.machine_next.copy(), timing.heads.copy(),
-            timing.tails.copy())
+            timing.tails.copy(), timing.place.copy())
 
 
-def assert_timing_is_exact(index, timing):
+def assert_timing_is_exact(index, timing, pins=frozenset()):
     """The kept heads and tails are a full re-timing's, and the kept order is
-    topological with positions that agree with it."""
+    topological with positions that agree with it. The kept makespan, the
+    critical set of the tight-arc walk and the candidate pairs are those of
+    the full re-timing. Returns how many critical pairs ``pins`` excludes."""
     heads, order, machine_next = earliest_starts(index, timing.seqs)
-    tails, _ = tails_and_critical(index, heads, order, machine_next, index.makespan(heads))
+    makespan = index.makespan(heads)
+    tails, flags = tails_and_critical(index, heads, order, machine_next, makespan)
     n = len(heads)
     assert timing.heads == [*heads, 0] and timing.tails == [*tails, 0]
     assert timing.machine_next == machine_next
     assert [timing.machine_prev[b] for seq in timing.seqs for b in seq[1:]] == [
         a for seq in timing.seqs for a in seq[:-1]
     ]
+    assert [timing.place[o] for seq in timing.seqs for o in seq] == [
+        (m, i) for m, seq in enumerate(timing.seqs) for i in range(len(seq))
+    ]
     assert sorted(timing.order) == list(range(n))
     assert [timing.pos[o] for o in timing.order] == list(range(n))
     for o in range(n):
         for succ in (index.job_next[o], machine_next[o]):
             assert succ < 0 or timing.pos[o] < timing.pos[succ]
+    assert timing.makespan() == makespan
+    critical = timing.critical(makespan)
+    assert critical == {o for o, c in enumerate(flags) if c}
+    assert critical == tight_arc_critical(index, timing.seqs, heads)
+    movable = [(m, i) for m, seq in enumerate(timing.seqs) for i in range(len(seq) - 1)
+               if seq[i] not in pins and seq[i + 1] not in pins]
+    candidates = timing.candidates(critical, pins)
+    assert candidates == [
+        (m, i) for m, i in movable if flags[timing.seqs[m][i]] and flags[timing.seqs[m][i + 1]]
+    ]
+    return len(critical_pairs(timing.seqs, critical)) - len(candidates)
 
 
 def test_kept_timing_matches_a_full_retiming_after_every_swap():
     """After every critical, random and cyclic adjacent swap, the heads,
-    tails and order kept across swaps equal those of a full re-timing; a
-    swap that would close a cycle changes nothing."""
+    tails and order kept across swaps equal those of a full re-timing, and
+    so do the makespan, the critical set and the candidate pairs read off
+    them; a swap that would close a cycle changes nothing."""
     rng = np.random.default_rng(43)
-    kept = critical_swaps = cyclic = 0
+    kept = critical_swaps = cyclic = pinned_out = 0
     for trial in range(36):
         if trial % 3 == 2:
             inst = uneven_instance(int(rng.integers(4, 12)), int(rng.integers(2, 7)), rng)
@@ -306,12 +324,14 @@ def test_kept_timing_matches_a_full_retiming_after_every_swap():
             inst = generate_instance(int(rng.integers(6, 16)), int(rng.integers(4, 16)),
                                      seed=int(rng.integers(1 << 30)))
         base = greedy_rollout(inst, RulePolicy(("fifo", "spt", "mtwr")[trial % 3]))
+        index = OperationIndex.of(inst)
+        pins = set()
         if trial % 2:  # a schedule from a search with its first half pinned
             pinned = {(j, k) for j, ops in enumerate(inst.jobs) for k in range(len(ops) // 2)}
             base = improve(inst, base, evals=100, seed=trial, pinned=pinned)
-        index = OperationIndex.of(inst)
+            pins = {index.first[j] + k for j, k in pinned}
         timing = expert._Timing(index, machine_sequences(inst, base))
-        assert_timing_is_exact(index, timing)
+        pinned_out += assert_timing_is_exact(index, timing, pins)
         pairs = [(m, i) for m, seq in enumerate(timing.seqs) for i in range(len(seq) - 1)]
         for step in range(30):
             if step % 2:
@@ -333,8 +353,8 @@ def test_kept_timing_matches_a_full_retiming_after_every_swap():
             else:
                 cyclic += 1
                 assert timing_state(timing) == before
-            assert_timing_is_exact(index, timing)
-    assert kept >= 800 and critical_swaps >= 400 and cyclic >= 40
+            pinned_out += assert_timing_is_exact(index, timing, pins)
+    assert kept >= 800 and critical_swaps >= 400 and cyclic >= 40 and pinned_out >= 1000
 
 
 def test_improve_retimes_a_candidate_only_when_it_improves(monkeypatch):
@@ -374,6 +394,41 @@ def test_improve_retimes_a_candidate_only_when_it_improves(monkeypatch):
         current = makespan
         candidates += 1
     assert candidates >= 10 and len(perturbations) >= 10
+
+
+def test_improve_returns_the_best_schedule_it_saw(monkeypatch):
+    # perturbations carry the search past its best schedule, so the last
+    # swap leaves it longer than the one it must return
+    inst = generate_instance(15, 15, seed=3)
+    base = greedy_rollout(inst, RulePolicy("mtwr"))
+    index = OperationIndex.of(inst)
+    seen = []
+
+    def recording(timing, m, i, _swap=expert._Timing.swap):
+        acyclic = _swap(timing, m, i)
+        seen.append(index.makespan(timing.heads))
+        return acyclic
+
+    monkeypatch.setattr(expert._Timing, "swap", recording)
+    out = improve(inst, base, evals=3000, patience=20, seed=2)
+    assert validate(inst, out)
+    start = compress(inst, base).makespan
+    assert out.makespan == min(start, *seen)
+    assert out.makespan < start and seen[-1] > out.makespan and len(seen) >= 50
+
+
+def test_improve_and_solve_exact_reject_a_nan_time_limit():
+    inst = generate_instance(10, 5, seed=1)
+    base = greedy_rollout(inst, RulePolicy("mtwr"))
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="time_limit must be a number of seconds, not nan"):
+        improve(inst, base, evals=10, time_limit=nan)
+    with pytest.raises(ValueError, match="time_limit must be a number of seconds, not nan"):
+        solve_exact(inst, time_limit=nan, node_limit=10)
+    # an infinite limit is no limit
+    assert improve(inst, base, evals=300, seed=1, time_limit=inf) == improve(
+        inst, base, evals=300, seed=1)
+    assert solve_exact(inst, time_limit=inf, node_limit=500) == solve_exact(inst, node_limit=500)
 
 
 def test_improve_never_worsens():
