@@ -208,9 +208,12 @@ class JobShopEnv:
 
     def step(self, action: int) -> StepResult:
         """Apply one action: a job index dispatches that job, the index
-        ``job_count`` is the No-Op clock advance."""
+        ``job_count`` is the No-Op clock advance. An action that is not a
+        Python or numpy integer is malformed, a float included."""
         if self.done:
             raise ActionError("episode is over")
+        if not isinstance(action, (int, np.integer)):
+            raise ActionError(f"action {action!r} is not an integer")
         if not 0 <= action <= self.noop_action:
             raise ActionError(f"action {action} out of range 0..{self.noop_action}")
         if not self._mask[action]:
@@ -234,12 +237,16 @@ class JobShopEnv:
 
         Equivalent to replaying the returned ``applied_actions`` through
         :meth:`step`. Every non-terminal state has a dispatchable job, so
-        the call always dispatches at least one.
+        the call always dispatches at least one. ``priority`` must be a
+        permutation of the job indices with an integer dtype.
         """
         if self.done:
             raise ActionError("episode is over")
         model = self.model
-        order = np.asarray(priority, dtype=np.int64)
+        order = np.asarray(priority)
+        if order.dtype.kind not in "iu":
+            raise ActionError(f"priority must hold integers, not {order.dtype}")
+        order = order.astype(np.int64, copy=False)
         if order.shape != (self.instance.job_count,) or (
             np.sort(order) != np.arange(self.instance.job_count)
         ).any():

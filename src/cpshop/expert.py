@@ -11,16 +11,12 @@ sequences: adjacent swaps of critical operations, first-improvement, and
 random feasible perturbations when stuck. Operations are numbered job by
 job (job ``j``'s ``k``-th is ``first[j] + k``). An operation is critical
 when head (earliest start) + processing time + tail (longest path from its
-end to the sink) equals the makespan (Taillard 1994). Each candidate swap
-is first screened in O(1): the current heads and tails give the longest
-path through the swapped pair, and a swap whose path already reaches the
-makespan is rejected. That path exists in the swapped graph whenever the
-swap is acyclic, and a cyclic swap is rejected anyway, so the screen
-cannot change a result. A swap that passes is then rejected unless every
-longest path runs through its arc (van Laarhoven, Aarts & Lenstra 1992),
-checked against the spans of the critical operations: otherwise a longest
-path survives the swap. So only swaps that improve and the perturbations
-are re-timed. ``cpshop.model.earliest_starts`` and one reverse pass give
+end to the sink) equals the makespan (Taillard 1994). ``_Timing`` screens
+each candidate: ``swap_bound`` is the O(1) longest path through the
+swapped pair, and ``on_every_longest_path`` the test that every longest
+path runs its arc (van Laarhoven, Aarts & Lenstra 1992); only a swap that
+passes both, which improves, and the perturbations are re-timed.
+``cpshop.model.earliest_starts`` and one reverse pass give
 the heads, tails and a topological order of the start, which ``_Timing``
 keeps from swap to swap: it repairs the order with a single-arc
 Pearce-Kelly update and relaxes only the heads after, and the tails
@@ -203,16 +199,14 @@ class _Timing:
         # o's job predecessor is o - 1 when that operation's job successor is o
         self.job_prev = [o - 1 if o and index.job_next[o - 1] == o else -1 for o in range(n)]
         self.machine_prev = [-1] * n
-        for seq in seqs:
-            for a, b in zip(seq, seq[1:]):
-                self.machine_prev[b] = a
+        self.place: list[tuple[int, int]] = [(0, 0)] * n  # (machine, slot) in seqs
+        for m, seq in enumerate(seqs):
+            for i, (a, o) in enumerate(zip([-1, *seq], seq)):
+                self.machine_prev[o] = a
+                self.place[o] = (m, i)
         self.pos = [0] * n + [n]
         for slot, o in enumerate(self.order):
             self.pos[o] = slot
-        self.place: list[tuple[int, int]] = [(0, 0)] * n  # (machine, slot) in seqs
-        for m, seq in enumerate(seqs):
-            for i, o in enumerate(seq):
-                self.place[o] = (m, i)
         # only a job's last operation can end at the makespan
         self.last = [b - 1 for a, b in zip(index.first, index.first[1:]) if b > a]
         self.heads = [*heads, 0]
@@ -263,6 +257,54 @@ class _Timing:
             for o in critical
             if machine_next[o] in critical and o not in pins and machine_next[o] not in pins
         )
+
+    def swap_bound(self, m: int, i: int) -> int:
+        """Longest path through ``u = seqs[m][i]`` and ``v = seqs[m][i + 1]``
+        once they swap places, from the heads and tails before the swap
+        (Taillard 1994).
+
+        After the swap, ``v`` starts after its job predecessor and ``u``'s
+        machine predecessor; ``u`` ends before its job successor and
+        ``v``'s machine successor. A path through the pair enters ``u``
+        from its job predecessor, or leaves ``v`` to its job successor, or
+        runs ``v`` then ``u``. If the swap leaves the graph acyclic, none of
+        the heads and tails read here changes, so this is the length of a
+        real path and a lower bound on the makespan after the swap.
+        """
+        seq = self.seqs[m]
+        u, v = seq[i], seq[i + 1]
+        heads, tails, proc, job_prev, job_next = (
+            self.heads, self.tails, self.proc, self.job_prev, self.job_next)
+        a, b = self.machine_prev[u], self.machine_next[v]
+        pred_u, succ_u, pred_v, succ_v = job_prev[u], job_next[u], job_prev[v], job_next[v]
+        head_v = max(heads[pred_v] + proc[pred_v], heads[a] + proc[a])
+        tail_u = max(proc[succ_u] + tails[succ_u], proc[b] + tails[b])
+        return max(
+            heads[pred_u] + proc[pred_u] + proc[u] + tail_u,
+            head_v + proc[v] + proc[succ_v] + tails[succ_v],
+            head_v + proc[v] + proc[u] + tail_u,
+        )
+
+    def on_every_longest_path(self, critical: set[int], m: int, i: int) -> bool:
+        """Whether every longest path runs the machine arc ``u -> v`` of
+        ``u = seqs[m][i]`` and ``v = seqs[m][i + 1]``, given the
+        ``critical`` set (van Laarhoven, Aarts & Lenstra 1992).
+
+        A longest path's operations run back to back from 0 to the makespan,
+        so one of them covers ``T = heads[v]``, end points included. On a path
+        through a tight arc ``u -> v`` only ``u`` and ``v`` do. So the arc is on
+        every longest path exactly when it is tight and no other critical
+        operation covers ``T``. A longest path that avoids the arc survives the
+        swap, at least as long, so the makespan cannot fall. When none avoids
+        it, every path that does not meet ``u`` or ``v`` is shorter than the
+        makespan, so a swap that :meth:`swap_bound` passes does lower it.
+        """
+        seq, heads, proc = self.seqs[m], self.heads, self.proc
+        u, v = seq[i], seq[i + 1]
+        t = heads[v]
+        return heads[u] + proc[u] == t and sum(
+            heads[o] <= t <= heads[o] + proc[o] for o in critical
+        ) == 2
 
     def _link(self, m: int, i: int, a: int, x: int, y: int, b: int) -> None:
         """Make ``seqs[m][i], seqs[m][i + 1]`` the pair ``x, y``, linked
@@ -330,53 +372,6 @@ class _Timing:
         return True
 
 
-def _swap_bound(index: OperationIndex, heads, tails, seq, i) -> int:
-    """Longest path through ``u = seq[i]`` and ``v = seq[i + 1]`` once they
-    swap places, from the heads and tails before the swap (Taillard 1994).
-
-    After the swap, ``v`` starts after its job predecessor and the machine
-    predecessor ``seq[i - 1]``; ``u`` ends before its job successor and the
-    machine successor ``seq[i + 2]``. A path through the pair enters ``u``
-    from its job predecessor, or leaves ``v`` to its job successor, or runs
-    ``v`` then ``u``. If the swap leaves the graph acyclic, none of the
-    heads and tails read here changes, so this is the length of a real path
-    and a lower bound on the makespan after the swap.
-    """
-    proc, job_next = index.proc, index.job_next
-    u, v = seq[i], seq[i + 1]
-    # o's job predecessor is o - 1 when that operation's job successor is o
-    head_v = heads[v - 1] + proc[v - 1] if v and job_next[v - 1] == v else 0
-    if i:
-        head_v = max(head_v, heads[seq[i - 1]] + proc[seq[i - 1]])
-    tail_u = proc[job_next[u]] + tails[job_next[u]] if job_next[u] >= 0 else 0
-    if i + 2 < len(seq):
-        tail_u = max(tail_u, proc[seq[i + 2]] + tails[seq[i + 2]])
-    into_u = heads[u - 1] + proc[u - 1] if u and job_next[u - 1] == u else 0
-    from_v = proc[job_next[v]] + tails[job_next[v]] if job_next[v] >= 0 else 0
-    return max(
-        into_u + proc[u] + tail_u,
-        head_v + proc[v] + max(from_v, proc[u] + tail_u),
-    )
-
-
-def _on_every_longest_path(index: OperationIndex, heads, spans, u, v) -> bool:
-    """Whether every longest path runs the machine arc ``u -> v``, given
-    ``spans``, the ``(head, end)`` of every critical operation (van
-    Laarhoven, Aarts & Lenstra 1992).
-
-    A longest path's operations run back to back from 0 to the makespan,
-    so one of them covers ``T = heads[v]``, end points included. On a path
-    through a tight arc ``u -> v`` only ``u`` and ``v`` do. So the arc is on
-    every longest path exactly when it is tight and no other critical
-    operation covers ``T``. A longest path that avoids the arc survives the
-    swap, at least as long, so the makespan cannot fall. When none avoids
-    it, every path that does not meet ``u`` or ``v`` is shorter than the
-    makespan, so a swap that ``_swap_bound`` passes does lower it.
-    """
-    t = heads[v]
-    return heads[u] + index.proc[u] == t and sum(h <= t <= e for h, e in spans) == 2
-
-
 def improve(
     instance: Instance,
     solution: Solution,
@@ -408,7 +403,7 @@ def improve(
     # a feasible schedule's start order is its compressed one (p >= 1)
     seqs = machine_sequences(instance, solution)
     timing = _Timing(index, seqs)
-    heads, tails = timing.heads, timing.tails  # updated in place by each swap
+    heads = timing.heads  # updated in place by each swap
     makespan = timing.makespan()
     best_makespan = makespan
     best_heads = None  # a copy of the best heads; None while they are the current ones
@@ -424,20 +419,16 @@ def improve(
     while used < evals and stale <= patience and not out_of_time():
         critical = timing.critical(makespan)
         candidates = timing.candidates(critical, pins)
-        spans = None  # the critical operations' (head, end), built on first use
         improved = False
         for m, i in candidates:
             if used >= evals or out_of_time():
                 break
             used += 1
-            seq = seqs[m]
             # a swap whose bound reaches the makespan cannot improve it
-            if _swap_bound(index, heads, tails, seq, i) >= makespan:
+            if timing.swap_bound(m, i) >= makespan:
                 continue
-            if spans is None:
-                spans = [(heads[o], heads[o] + index.proc[o]) for o in critical]
             # nor can one that some longest path avoids
-            if not _on_every_longest_path(index, heads, spans, seq[i], seq[i + 1]):
+            if not timing.on_every_longest_path(critical, m, i):
                 continue
             acyclic = timing.swap(m, i)
             new_makespan = timing.makespan()

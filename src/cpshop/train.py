@@ -26,6 +26,7 @@ bit-identically.
 from __future__ import annotations
 
 import csv
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -99,7 +100,7 @@ class TrainConfig:
             )
         if not 0 < self.clip_eps < 1:
             raise ValueError("clip_eps must be in (0, 1)")
-        if self.kl_limit <= 0:
+        if not self.kl_limit > 0:  # NaN would never stop a wave; inf turns the KL stop off
             raise ValueError("kl_limit must be positive")
         if self.max_updates < 1:
             raise ValueError("max_updates must be >= 1")
@@ -107,8 +108,8 @@ class TrainConfig:
             raise ValueError("actor_count must be >= 1")
         if self.minibatch_size is not None and self.minibatch_size < 1:
             raise ValueError("minibatch_size must be None or >= 1")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         for name in ("expert_evals_start", "expert_evals_step", "expert_patience"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -506,7 +506,7 @@ def test_parse_train_config_rejects_out_of_range_value_as_data_error(tmp_path):
     [
         "eps = 2", "actors = 0", "minibatches = 0", "horizon = 0", "horizon = 3", "next_ops = -1",
         "epochs = -1",
-        "lr = 0", "lr = -0.001", "expert_budget_start = -5",
+        "lr = 0", "lr = -0.001", "lr = inf", "beta = nan", "expert_budget_start = -5",
         "epochs = 2\nexpert_budget_step = -5000",
     ],
 )

@@ -161,6 +161,21 @@ def test_action_out_of_range():
         env.step(-1)
 
 
+def test_non_integer_actions_rejected():
+    """A float, even a whole one, is a malformed action, not an index to
+    truncate; numpy integers, as masked_argmax and argsort give them, work."""
+    env = tiny_env()
+    for action in (1.5, 1.0, np.float64(0.0), "0", None):
+        with pytest.raises(ActionError, match="not an integer"):
+            env.step(action)
+    for priority in ([0.7, 1.2], np.array([1.0, 0.0]), ["0", "1"]):
+        with pytest.raises(ActionError, match="must hold integers"):
+            env.step_vector(priority)
+    assert env.model.fixed_count == 0
+    assert env.step(np.int64(0)).applied_actions == (0,)
+    assert env.step_vector(np.argsort([1.0, 0.0])).applied_actions
+
+
 def test_masked_job_rejected():
     # three jobs: fixing the long job 0 blocks job 1 behind machine 0
     text = "3 2\n0 10\n0 1\n1 5\n"

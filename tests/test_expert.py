@@ -8,7 +8,7 @@ import pytest
 from cpshop import expert, model
 from cpshop.env import JobShopEnv
 from cpshop.expert import complete_prefix, improve, solve_exact
-from cpshop.instances import generate_instance, parse_instance_text
+from cpshop.instances import Instance, Operation, generate_instance, parse_instance_text
 from cpshop.model import (
     OperationIndex,
     Solution,
@@ -17,7 +17,7 @@ from cpshop.model import (
     machine_sequences,
     validate,
 )
-from cpshop.rules import RulePolicy, greedy_rollout
+from cpshop.rules import RulePolicy, greedy_rollout, rollout
 from test_env import uneven_instance
 
 
@@ -153,6 +153,31 @@ def critical_pairs(seqs, critical):
     ]
 
 
+def reference_swap_bound(index, heads, tails, seq, i):
+    """The swap screen read off one machine sequence, job predecessors
+    rebuilt from ``job_next`` and each missing neighbour a branch:
+    the longest path through ``seq[i]`` and ``seq[i + 1]`` once swapped."""
+    proc, job_next = index.proc, index.job_next
+    u, v = seq[i], seq[i + 1]
+    head_v = heads[v - 1] + proc[v - 1] if v and job_next[v - 1] == v else 0
+    if i:
+        head_v = max(head_v, heads[seq[i - 1]] + proc[seq[i - 1]])
+    tail_u = proc[job_next[u]] + tails[job_next[u]] if job_next[u] >= 0 else 0
+    if i + 2 < len(seq):
+        tail_u = max(tail_u, proc[seq[i + 2]] + tails[seq[i + 2]])
+    into_u = heads[u - 1] + proc[u - 1] if u and job_next[u - 1] == u else 0
+    from_v = proc[job_next[v]] + tails[job_next[v]] if job_next[v] >= 0 else 0
+    return max(into_u + proc[u] + tail_u, head_v + proc[v] + max(from_v, proc[u] + tail_u))
+
+
+def reference_on_every_longest_path(index, heads, spans, u, v):
+    """The cover test over ``spans``, the (head, end) of every critical
+    operation: the arc ``u -> v`` is tight and only ``u`` and ``v`` cover
+    ``heads[v]``."""
+    t = heads[v]
+    return heads[u] + index.proc[u] == t and sum(h <= t <= e for h, e in spans) == 2
+
+
 def test_head_tail_critical_matches_tight_arc_search():
     rng = np.random.default_rng(17)
     checked = 0
@@ -202,11 +227,10 @@ def test_swap_bound_is_a_path_length_after_every_acyclic_swap():
             base = improve(inst, base, evals=100, seed=trial, pinned=pinned)
         index = OperationIndex.of(inst)
         seqs = machine_sequences(inst, base)
-        heads, order, machine_next = earliest_starts(index, seqs)
-        tails, _ = tails_and_critical(index, heads, order, machine_next, index.makespan(heads))
-        for seq in seqs:
+        timing = expert._Timing(index, seqs)
+        for m, seq in enumerate(seqs):
             for i in range(len(seq) - 1):
-                bound = expert._swap_bound(index, heads, tails, seq, i)
+                bound = timing.swap_bound(m, i)
                 u, v = seq[i], seq[i + 1]
                 seq[i], seq[i + 1] = v, u
                 result = earliest_starts(index, seqs)
@@ -243,14 +267,15 @@ def test_cover_test_passes_exactly_the_improving_screened_swaps():
         for _ in range(6):
             heads, order, machine_next = earliest_starts(index, seqs)
             makespan = index.makespan(heads)
-            tails, critical = tails_and_critical(index, heads, order, machine_next, makespan)
-            spans = [(h, h + p) for h, p, c in zip(heads, index.proc, critical) if c]
-            for m, i in critical_pairs(seqs, {o for o, c in enumerate(critical) if c}):
-                seq = seqs[m]
-                if expert._swap_bound(index, heads, tails, seq, i) >= makespan:
+            _, flags = tails_and_critical(index, heads, order, machine_next, makespan)
+            critical = {o for o, c in enumerate(flags) if c}
+            timing = expert._Timing(index, seqs)
+            for m, i in critical_pairs(seqs, critical):
+                if timing.swap_bound(m, i) >= makespan:
                     continue
+                covered = timing.on_every_longest_path(critical, m, i)
+                seq = seqs[m]
                 u, v = seq[i], seq[i + 1]
-                covered = expert._on_every_longest_path(index, heads, spans, u, v)
                 seq[i], seq[i + 1] = v, u
                 result = earliest_starts(index, seqs)
                 seq[i], seq[i + 1] = u, v
@@ -279,7 +304,8 @@ def assert_timing_is_exact(index, timing, pins=frozenset()):
     """The kept heads and tails are a full re-timing's, and the kept order is
     topological with positions that agree with it. The kept makespan, the
     critical set of the tight-arc walk and the candidate pairs are those of
-    the full re-timing. Returns how many critical pairs ``pins`` excludes."""
+    the full re-timing, and so are the swap screen and the cover test of
+    every adjacent pair. Returns how many critical pairs ``pins`` excludes."""
     heads, order, machine_next = earliest_starts(index, timing.seqs)
     makespan = index.makespan(heads)
     tails, flags = tails_and_critical(index, heads, order, machine_next, makespan)
@@ -307,6 +333,12 @@ def assert_timing_is_exact(index, timing, pins=frozenset()):
     assert candidates == [
         (m, i) for m, i in movable if flags[timing.seqs[m][i]] and flags[timing.seqs[m][i + 1]]
     ]
+    spans = [(heads[o], heads[o] + index.proc[o]) for o in critical]
+    for m, seq in enumerate(timing.seqs):
+        for i in range(len(seq) - 1):
+            assert timing.swap_bound(m, i) == reference_swap_bound(index, heads, tails, seq, i)
+            assert timing.on_every_longest_path(critical, m, i) == reference_on_every_longest_path(
+                index, heads, spans, seq[i], seq[i + 1])
     return len(critical_pairs(timing.seqs, critical)) - len(candidates)
 
 
@@ -618,7 +650,50 @@ def test_complete_prefix_not_worse_than_greedy_completion():
     inst = generate_instance(6, 6, seed=10)
     cut, _ = random_prefix(inst, 4, seed=2)
     sol = complete_prefix(inst, cut, evals=600)
-    from cpshop.rules import rollout
-
     greedy = rollout(inst, RulePolicy("mtwr"), env=cut.copy()).solution
     assert sol.makespan <= greedy.makespan
+
+
+@pytest.mark.filterwarnings("ignore:job .* visits machine")
+def test_jobs_that_revisit_a_machine():
+    """Where a job's two operations sit next to each other on a machine, a
+    machine arc runs beside a job arc: the screen rejects swapping the pair
+    and ``_Timing.swap`` refuses it, changing nothing. ``improve``,
+    ``complete_prefix`` and ``solve_exact`` give valid schedules, none worse
+    than its start."""
+    rng = np.random.default_rng(67)
+    beside = critical_beside = certified = 0
+    for trial in range(300):
+        jobs, machines = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        ops = tuple(
+            tuple(Operation(int(rng.integers(machines)), int(rng.integers(1, 10)))
+                  for _ in range(int(rng.integers(1, 7))))
+            for _ in range(jobs)
+        )
+        inst = Instance(f"revisit-{trial}", jobs, machines, ops)
+        base = greedy_rollout(inst, RulePolicy(("fifo", "spt", "mtwr")[trial % 3]))
+        index = OperationIndex.of(inst)
+        timing = expert._Timing(index, machine_sequences(inst, base))
+        makespan = timing.makespan()
+        critical = timing.critical(makespan)
+        for m, seq in enumerate(timing.seqs):
+            for i in range(len(seq) - 1):
+                if index.job_next[seq[i]] == seq[i + 1]:
+                    if seq[i] in critical:  # a candidate the screen must reject
+                        assert timing.swap_bound(m, i) > makespan
+                        critical_beside += 1
+                    before = timing_state(timing)
+                    assert not timing.swap(m, i) and timing_state(timing) == before
+                    beside += 1
+        found = improve(inst, base, evals=300, seed=trial)
+        assert validate(inst, found) and found.makespan <= base.makespan
+        cut, _ = random_prefix(inst, int(rng.integers(inst.total_operations + 1)), trial)
+        greedy = rollout(inst, RulePolicy("mtwr"), env=cut.copy()).solution
+        done = complete_prefix(inst, cut, evals=300, seed=trial)
+        assert validate(inst, done) and done.makespan <= greedy.makespan
+        exact = solve_exact(inst, node_limit=20_000)
+        assert validate(inst, exact.solution)
+        if exact.certified:
+            assert exact.solution.makespan <= found.makespan
+            certified += 1
+    assert beside >= 1000 and critical_beside >= 800 and certified >= 280

@@ -73,8 +73,12 @@ def test_minmax_scale_empty_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(clip_eps=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(kl_limit=0.0)
+    # final_kl > nan is never true, so a NaN limit would turn the KL stop
+    # off without a word; an infinite limit turns it off on purpose
+    for kl_limit in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="kl_limit"):
+            TrainConfig(kl_limit=kl_limit)
+    assert TrainConfig(kl_limit=float("inf")).kl_limit == float("inf")
     with pytest.raises(ValueError):
         TrainConfig(max_updates=0)
     with pytest.raises(ValueError, match="actor_count"):
@@ -82,7 +86,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="minibatch_size"):
         TrainConfig(minibatch_size=0)
     assert TrainConfig(minibatch_size=None).minibatch_size is None
-    for lr in (0.0, -1e-3, float("nan")):
+    for lr in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=lr)
     for name in ("expert_evals_start", "expert_evals_step", "expert_patience"):
