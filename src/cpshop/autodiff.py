@@ -305,7 +305,9 @@ def log_softmax(t, axis: int = -1):
 
 def layer_norm(t, gamma, beta):
     """Normalize the last axis to zero mean and unit variance, then scale."""
-    mu = t.mean(axis=-1, keepdims=True)
+    # sum / d, as Tensor.mean computes it; np.mean's dispatch costs more here
+    d = t.shape[-1]
+    mu = t.sum(axis=-1, keepdims=True) / d
     centered = t - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     return centered / sqrt(var + LAYER_NORM_EPS) * gamma + beta

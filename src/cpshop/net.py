@@ -17,8 +17,9 @@ encoding; jobs get none, keeping the job axis permutation-equivariant.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -76,11 +77,15 @@ def init_params(config: PolicyConfig = PolicyConfig(), seed: int = 0) -> dict[st
     return {k: Tensor(v, requires_grad=True) for k, v in params.items()}
 
 
+@cache
 def positional_encoding(positions: int, d_model: int) -> np.ndarray:
+    """Sinusoidal slot encoding (positions, d_model); built once per size and
+    returned read-only."""
     pos = np.arange(positions)[:, None]
     i = np.arange(d_model)[None, :]
     angle = pos / np.power(10000.0, (i - i % 2) / d_model)
     enc = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    enc.flags.writeable = False
     return enc
 
 
@@ -160,15 +165,13 @@ def _encode_windows(params: dict, features: np.ndarray, kinds: np.ndarray):
     return x.mean(axis=1).reshape(*lead, -1)
 
 
-def forward_logits(params: dict, batch: ObservationBatch):
-    """Masked action logits, shape (B, J + 1); masked entries are -inf.
-
-    ``Tensor`` weights give a ``Tensor`` with the graph; plain array weights
-    (``{k: p.data}``) give the ndarray of the same operations. On arrays, a
-    batch of several observations runs stage 1 once per distinct job window
-    and gathers the embeddings back; windows are encoded independently, so
-    the logits are byte-equal either way. On Tensors stage 1 runs on every
-    window, so backward accumulates each window's gradient in batch order."""
+def _stage_one(params: dict, batch: ObservationBatch):
+    """Stage-1 embeddings (B, J, d) of every job window in ``batch``. On
+    arrays, a batch of several observations runs stage 1 once per distinct
+    job window and gathers the embeddings back; windows are encoded
+    independently, so the embeddings are byte-equal either way. On Tensors
+    stage 1 runs on every window, so backward accumulates each window's
+    gradient in batch order."""
     b, j, s, _ = batch.features.shape
     if b > 1 and not isinstance(params["proj.w"], Tensor):
         first, inverse = batch.distinct_windows
@@ -177,9 +180,20 @@ def forward_logits(params: dict, batch: ObservationBatch):
             batch.features.reshape(b * j, s, -1)[first],
             batch.kinds.reshape(b * j, s)[first],
         )
-        x = windows[inverse].reshape(b, j, -1)
-    else:
-        x = _encode_windows(params, batch.features, batch.kinds)
+        return windows[inverse].reshape(b, j, -1)
+    return _encode_windows(params, batch.features, batch.kinds)
+
+
+def forward_logits(params: dict, batch: ObservationBatch, windows=None):
+    """Masked action logits, shape (B, J + 1); masked entries are -inf.
+
+    ``Tensor`` weights give a ``Tensor`` with the graph; plain array weights
+    (``{k: p.data}``) give the ndarray of the same operations. ``windows``
+    are the batch's stage-1 embeddings (B, J, d) when the caller already
+    has them, as :class:`NetPolicy` does; stage 2 and the heads always run
+    here in full."""
+    b, j = batch.features.shape[:2]
+    x = _stage_one(params, batch) if windows is None else windows
     x = _encoder_layer(params, "enc2", x)
 
     job_logits = _mlp(params, "job", x).reshape(b, j)
@@ -198,11 +212,23 @@ def action_log_probs(params: dict, batch: ObservationBatch, actions):
 
 
 class NetPolicy:
-    """Rollout-facing wrapper: observation in, logit vector out."""
+    """Rollout-facing wrapper: observation in, logit vector out.
+
+    The policy keeps its previous :meth:`batch_logits` call: the parameter
+    arrays, the normalised window features and kinds, and their stage-1
+    embeddings. When the next call has the same ``(B, J, S)`` shape and every
+    parameter's ``.data`` is the same array object, it re-encodes only the
+    job windows whose bytes changed and reuses the rest. Windows are encoded
+    independently, so the logits are byte-equal to an uncached
+    :func:`forward_logits`. Parameters must therefore be replaced, never
+    edited in place: ``Adam.step`` and ``load_params`` build new arrays, and
+    a rebound ``.data`` makes the next call encode every window again."""
 
     def __init__(self, params: dict[str, Tensor], config: PolicyConfig = PolicyConfig()):
         self.params = params
         self.config = config
+        # (parameter arrays, features, kinds, stage-1 embeddings) of the last call
+        self._kept: tuple | None = None
 
     def logits(self, observation: Observation) -> np.ndarray:
         return self.batch_logits([observation])[0]
@@ -218,7 +244,34 @@ class NetPolicy:
                 f"for next_ops={self.config.next_ops} ({self.config.next_ops + 2} slots)"
             )
         batch = ObservationBatch.from_observations(observations)
-        return forward_logits({k: p.data for k, p in self.params.items()}, batch)
+        arrays = {k: p.data for k, p in self.params.items()}
+        return forward_logits(arrays, batch, self._windows(arrays, batch))
+
+    def _windows(self, arrays: dict[str, np.ndarray], batch: ObservationBatch) -> np.ndarray:
+        """Stage-1 embeddings of ``batch``. When the last call's memory
+        applies and some windows are unchanged, only the changed windows are
+        encoded; otherwise stage 1 runs in full."""
+        values = tuple(arrays.values())
+        features, kinds = batch.features, batch.kinds
+        kept, windows = self._kept, None
+        if (
+            kept is not None
+            and kept[1].shape == features.shape
+            and all(map(operator.is_, kept[0], values))
+        ):
+            _, old_features, old_kinds, old_windows = kept
+            b, j = kinds.shape[:2]
+            # byte equality: float != calls 0.0 and -0.0 equal and NaN unequal
+            differ = features.view(np.int64) != old_features.view(np.int64)
+            changed = differ.reshape(b, j, -1).any(axis=2) | (kinds != old_kinds).any(axis=2)
+            if not changed.all():
+                windows = old_windows.copy()
+                if changed.any():
+                    windows[changed] = _encode_windows(arrays, features[changed], kinds[changed])
+        if windows is None:
+            windows = _stage_one(arrays, batch)
+        self._kept = (values, features, kinds, windows)
+        return windows
 
 
 # -- optimization --------------------------------------------------------
@@ -319,10 +372,16 @@ def load_params(path: str | Path) -> tuple[dict[str, Tensor], PolicyConfig]:
         raise ValueError(f"{path}: malformed checkpoint header: {exc}") from None
     if shapes != built:
         raise ValueError(f"{path}: parameter names or shapes differ from what {config} builds")
+    if len(rest) % 8:
+        raise ValueError(
+            f"{path}: payload of {len(rest)} bytes is not a whole number of float64 values"
+        )
     flat = np.frombuffer(rest, dtype="<f8")
     expected = sum(int(np.prod(s, dtype=np.int64)) if s else 1 for _, s in shapes)
     if flat.size != expected:
         raise ValueError(f"{path}: payload holds {flat.size} values, header declares {expected}")
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: payload holds non-finite values")
     params: dict[str, Tensor] = {}
     offset = 0
     for name, shape in shapes:

@@ -184,11 +184,20 @@ def _spoil_header(raw, old, new):
     return head.replace(old, new, 1) + b"end\n" + payload
 
 
+def _spoil_first_value(raw, value):
+    """Overwrite the first payload value, ``proj.w[0, 0]``."""
+    head, _, payload = raw.partition(b"end\n")
+    return head + b"end\n" + np.array([value], dtype="<f8").tobytes() + payload[8:]
+
+
 BAD_CHECKPOINTS = {
     "junk": lambda raw: b"not a checkpoint\n",
     "empty": lambda raw: b"",
     "blank_header_line": lambda raw: _spoil_header(raw, b"\nparam", b"\n\nparam"),
     "truncated_payload": lambda raw: raw[:-16],
+    "payload_cut_mid_value": lambda raw: raw[:-3],
+    "nan_value": lambda raw: _spoil_first_value(raw, np.nan),
+    "infinite_value": lambda raw: _spoil_first_value(raw, -np.inf),
     "renamed_parameter": lambda raw: _spoil_header(raw, b"param tok.sink", b"param tok.sunk"),
     "zero_width_config": lambda raw: _spoil_header(raw, b'"d_model": 8', b'"d_model": 0'),
 }

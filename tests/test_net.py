@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cpshop.net
-from cpshop.env import JobShopEnv
+from cpshop.env import SLOT_SINK, SLOT_SOURCE, JobShopEnv, Observation
 from cpshop.instances import generate_instance
 from cpshop.model import validate
 from cpshop.net import (
@@ -17,8 +17,8 @@ from cpshop.net import (
     positional_encoding,
     save_params,
 )
-from cpshop.rules import greedy_rollout, rollout
-from cpshop.train import TrainConfig, generate_demos
+from cpshop.rules import ensemble_solve, greedy_rollout, rollout
+from cpshop.train import TrainConfig, generate_demos, sample_episodes
 
 
 def observations_for(seed, count=3, jobs=4, machines=4):
@@ -182,13 +182,111 @@ def test_stage_one_encodes_distinct_windows_only_without_graph(monkeypatch):
     assert seen == [j, b * j]
 
 
+class CheckedPolicy:
+    """A ``NetPolicy`` whose every logit row is checked, byte for byte,
+    against an uncached ``forward_logits`` of the same observations."""
+
+    def __init__(self, policy):
+        self.policy, self.config = policy, policy.config
+        self.batch_sizes = []
+
+    def logits(self, observation):
+        return self.batch_logits([observation])[0]
+
+    def batch_logits(self, observations):
+        got = self.policy.batch_logits(observations)
+        batch = ObservationBatch.from_observations(observations)
+        assert got.tobytes() == forward_logits(arrays_of(self.policy.params), batch).tobytes()
+        self.batch_sizes.append(len(observations))
+        return got
+
+
+def test_kept_windows_give_uncached_logits_over_a_greedy_rollout():
+    inst = generate_instance(50, 20, seed=4)
+    policy = CheckedPolicy(NetPolicy(init_params(seed=2)))
+    assert validate(inst, rollout(inst, policy).solution)
+    assert len(policy.batch_sizes) >= inst.total_operations
+
+
+def test_kept_windows_give_uncached_logits_over_interleaved_actors():
+    # ensemble_solve asks for one actor's logits after another's
+    inst = generate_instance(15, 15, seed=5)
+    policy = CheckedPolicy(NetPolicy(init_params(seed=0)))
+    result = ensemble_solve(inst, policy, actor_count=4, seed=3)
+    assert len(result.makespans) == 4 and set(policy.batch_sizes) == {1}
+
+
+def test_kept_windows_give_uncached_logits_as_the_batch_shrinks():
+    inst = generate_instance(6, 6, seed=8)
+    policy = CheckedPolicy(NetPolicy(init_params(seed=0)))
+    rngs = [np.random.default_rng(s) for s in range(6)]
+    episodes = sample_episodes(inst, policy, rngs, horizon=10)
+    assert len({len(ep.actions) for ep in episodes}) > 1  # actors finish apart
+    sizes = policy.batch_sizes
+    assert sizes[0] == 6 and sizes[-1] < 6
+    assert any(a == b for a, b in zip(sizes, sizes[1:]))  # rounds that reuse windows
+
+
+def test_kept_windows_are_dropped_when_the_parameters_are_replaced():
+    params = init_params(seed=0)
+    policy = NetPolicy(params)
+    observations = observations_for(9, count=2, jobs=6, machines=5)
+    before = policy.logits(observations[0])
+    optimizer = Adam(params, lr=1e-2)
+    batch = ObservationBatch.from_observations(observations[:1])
+    action = int(np.flatnonzero(observations[0].mask)[0])
+    action_log_probs(params, batch, [action]).sum().backward()
+    optimizer.step()
+    for obs in (observations[0], observations[1]):
+        assert policy.logits(obs).tobytes() == NetPolicy(params).logits(obs).tobytes()
+    assert policy.logits(observations[0]).tobytes() != before.tobytes()
+
+
+def test_stage_one_encodes_only_the_changed_windows_of_consecutive_calls(monkeypatch):
+    seen = []
+    original = cpshop.net._encoder_layer
+
+    def recording(params, prefix, x):
+        if prefix == "enc1":
+            seen.append(x.shape[0])
+        return original(params, prefix, x)
+
+    monkeypatch.setattr(cpshop.net, "_encoder_layer", recording)
+    inst = generate_instance(15, 10, seed=6)
+    policy = NetPolicy(init_params(seed=0))
+    env = JobShopEnv(inst)
+    obs, previous, expected = env.observe(), None, []
+    while not env.done:
+        batch = ObservationBatch.from_observations([obs])
+        rows = np.concatenate([
+            batch.features.reshape(inst.job_count, -1).view(np.uint8),
+            batch.kinds.reshape(inst.job_count, -1).view(np.uint8),
+        ], axis=1)
+        changed = inst.job_count if previous is None else int((rows != previous).any(axis=1).sum())
+        expected += [changed] if changed else []
+        previous = rows
+        obs = env.step(int(np.argmax(policy.logits(obs)))).observation
+    assert seen == expected
+    assert sum(seen) < inst.job_count * len(expected) / 2  # most windows are reused
+
+
+def test_a_window_whose_slot_kinds_alone_change_is_encoded_again():
+    obs = JobShopEnv(generate_instance(5, 5, seed=3)).observe()
+    kinds = obs.kinds.copy()
+    kinds[2, -1] = SLOT_SOURCE if kinds[2, -1] != SLOT_SOURCE else SLOT_SINK
+    other = Observation(
+        features=obs.features, kinds=kinds, mask=obs.mask, t=obs.t, time_scale=obs.time_scale
+    )
+    policy = CheckedPolicy(NetPolicy(init_params(seed=0)))
+    first, second = policy.logits(obs), policy.logits(other)
+    assert first.tobytes() != second.tobytes()
+
+
 def test_job_permutation_equivariance():
     # no positional encoding on the job axis: permuting jobs permutes logits
     params = init_params(seed=0)
     obs = observations_for(7, count=1, jobs=5)[0]
     perm = np.array([3, 0, 4, 1, 2])
-    from cpshop.env import Observation
-
     permuted = Observation(
         features=obs.features[perm],
         kinds=obs.kinds[perm],
@@ -373,3 +471,4 @@ def test_checkpoint_rejects_truncated_payload(tmp_path):
     path.write_bytes(raw[:-16])
     with pytest.raises(ValueError, match="payload"):
         load_params(path)
+

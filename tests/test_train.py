@@ -232,9 +232,9 @@ def test_generate_demos_batches_one_forward_per_decision_round(monkeypatch):
     calls = []
     original = cpshop.net.forward_logits
 
-    def counting(params, batch):
+    def counting(params, batch, windows=None):
         calls.append(batch.features.shape[0])
-        return original(params, batch)
+        return original(params, batch, windows)
 
     monkeypatch.setattr(cpshop.net, "forward_logits", counting)
     instances = [generate_instance(4, 4, seed=31), generate_instance(5, 3, seed=32)]
