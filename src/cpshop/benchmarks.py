@@ -10,15 +10,31 @@ to build the published ones, from fixed seeds:
   30x20, 50x15, 50x20, and 100x20, processing times uniform on [1, 99].
 * ``la-like``: 40 instances, 5 each of 10x5, 15x5, 20x5, 10x10, 15x10,
   20x10, 30x10, and 15x15, processing times uniform on [5, 99].
+
+The generator's step is ``s -> 16807 * s mod (2**31 - 1)`` (Schrage's
+method computes it in 32 bits), so the k-th state after a seed is
+``seed * 16807**k mod (2**31 - 1)``. Every stream is computed in numpy by
+that jump-ahead, exact in int64 because both factors are below 2**31,
+and each value is ``low + int(state / (2**31 - 1) * width)`` in the same
+float64 operations as the scalar step. A seed must lie in
+``1 .. 2**31 - 2``: 0 and every multiple of the modulus lead to the
+fixed point 0, and a negative seed leaves the step's domain. A suite's
+instances share one immutable ``Operation`` per distinct (machine, time)
+pair, and either whole suite builds in tens of milliseconds.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import islice
+from typing import Sequence
 
-from cpshop.instances import Instance, Operation
+import numpy as np
+
+from cpshop.instances import Instance, jobs_from_rows
 
 LCG_MODULUS = 2147483647
+LCG_MULTIPLIER = 16807
 
 TA_LIKE_SIZES = (
     (15, 15, 10),
@@ -44,14 +60,29 @@ DATASETS = ("ta-like", "la-like")
 _SEED_ROOT = 12345
 
 
-def lcg_uniform(seed: int, low: int, high: int) -> tuple[int, int]:
-    """One step of the portable LCG; returns (next_seed, value in [low, high])."""
-    a, b, c = 16807, 127773, 2836
-    k = seed // b
-    seed = a * (seed % b) - k * c
-    if seed < 0:
-        seed += LCG_MODULUS
-    return seed, low + int(seed / LCG_MODULUS * (high - low + 1))
+def lcg_states(seed: int, count: int) -> np.ndarray:
+    """The ``count`` states that follow ``seed``, as int64.
+
+    The k-th is ``seed * 16807**k mod (2**31 - 1)``: powers of the
+    multiplier by doubling, each product of two factors below 2**31.
+    """
+    if not 1 <= seed < LCG_MODULUS:
+        raise ValueError(f"LCG seed {seed} out of range 1..{LCG_MODULUS - 1}")
+    powers = np.empty(count, dtype=np.int64)
+    if count:
+        powers[0] = LCG_MULTIPLIER
+    done = 1
+    while done < count:
+        step = min(done, count - done)
+        powers[done:done + step] = powers[:step] * powers[done - 1] % LCG_MODULUS
+        done += step
+    return seed * powers % LCG_MODULUS
+
+
+def lcg_values(states: np.ndarray, low, high) -> np.ndarray:
+    """``low + int(state / LCG_MODULUS * (high - low + 1))`` per state, the
+    generator's uniform draw on [low, high]; ``low`` may be an array."""
+    return low + (states / LCG_MODULUS * (high - low + 1)).astype(np.int64)
 
 
 def lcg_matrices(
@@ -61,45 +92,56 @@ def lcg_matrices(
     machine_seed: int,
     low: int = 1,
     high: int = 99,
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Processing-time and machine-order matrices of one generated instance.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Processing-time and machine-order matrices of one generated
+    instance, ``(job_count, machine_count)`` int64 each.
 
     Machine numbers are 1-based, per job a partial shuffle of the
-    identity order driven by ``machine_seed``.
+    identity order driven by ``machine_seed``: step ``j`` swaps entry
+    ``j`` with a uniform pick from ``j .. machine_count - 1``, one column
+    at a time across all jobs.
     """
-    times = [[0] * machine_count for _ in range(job_count)]
-    for i in range(job_count):
-        for j in range(machine_count):
-            time_seed, v = lcg_uniform(time_seed, low, high)
-            times[i][j] = v
-    machines = [[j + 1 for j in range(machine_count)] for _ in range(job_count)]
-    for i in range(job_count):
-        for j in range(machine_count):
-            machine_seed, v = lcg_uniform(machine_seed, j, machine_count - 1)
-            machines[i][j], machines[i][v] = machines[i][v], machines[i][j]
-    return times, machines
+    shape = (job_count, machine_count)
+    times = lcg_values(lcg_states(time_seed, job_count * machine_count), low, high)
+    column = np.arange(machine_count)
+    picks = lcg_values(
+        lcg_states(machine_seed, job_count * machine_count).reshape(shape),
+        column,
+        machine_count - 1,
+    )
+    machines = np.tile(column + 1, (job_count, 1))
+    rows = np.arange(job_count)
+    for j in range(machine_count):
+        pick = picks[:, j]
+        kept = machines[:, j].copy()
+        machines[:, j] = machines[rows, pick]
+        machines[rows, pick] = kept
+    return times.reshape(shape), machines
 
 
-def lcg_instance(
-    name: str,
-    job_count: int,
-    machine_count: int,
-    time_seed: int,
-    machine_seed: int,
-    low: int = 1,
-    high: int = 99,
-) -> Instance:
-    times, machines = lcg_matrices(job_count, machine_count, time_seed, machine_seed, low, high)
-    jobs = tuple(
-        tuple(
-            Operation(machine=machines[i][j] - 1, processing_time=times[i][j])
-            for j in range(machine_count)
+def lcg_instances(
+    specs: Sequence[tuple[str, int, int, int, int]], low: int = 1, high: int = 99
+) -> list[Instance]:
+    """One instance per ``(name, job_count, machine_count, time_seed,
+    machine_seed)`` spec, times uniform on [low, high]; all of them share
+    one :class:`Operation` per distinct (machine, time) pair."""
+    machines, times = [], []
+    for _, job_count, machine_count, time_seed, machine_seed in specs:
+        spec_times, spec_machines = lcg_matrices(
+            job_count, machine_count, time_seed, machine_seed, low, high
         )
-        for i in range(job_count)
-    )
-    return Instance(
-        name=name, job_count=job_count, machine_count=machine_count, jobs=jobs
-    )
+        machines += (spec_machines - 1).tolist()
+        times += spec_times.tolist()
+    jobs = iter(jobs_from_rows(machines, times))
+    return [
+        Instance(
+            name=name,
+            job_count=job_count,
+            machine_count=machine_count,
+            jobs=tuple(islice(jobs, job_count)),
+        )
+        for name, job_count, machine_count, _, _ in specs
+    ]
 
 
 def dataset(name: str) -> list[Instance]:
@@ -111,21 +153,11 @@ def dataset(name: str) -> list[Instance]:
     else:
         raise ValueError(f"unknown dataset {name!r}, expected one of {DATASETS}")
     rng = random.Random(_SEED_ROOT)
-    out = []
-    index = 0
+    specs = []
     for job_count, machine_count, count in sizes:
         for _ in range(count):
-            index += 1
             time_seed = rng.randrange(1, LCG_MODULUS)
             machine_seed = rng.randrange(1, LCG_MODULUS)
-            out.append(
-                lcg_instance(
-                    f"{prefix}-{index:02d}",
-                    job_count,
-                    machine_count,
-                    time_seed,
-                    machine_seed,
-                    low=low,
-                )
-            )
-    return out
+            label = f"{prefix}-{len(specs) + 1:02d}"
+            specs.append((label, job_count, machine_count, time_seed, machine_seed))
+    return lcg_instances(specs, low=low)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -38,6 +39,32 @@ class Operation:
     processing_time: int
 
 
+_MACHINE = attrgetter("machine")
+_TIME = attrgetter("processing_time")
+
+
+class _SharedOperations(dict):
+    """(machine, time) -> the one :class:`Operation` with that pair,
+    made on first lookup."""
+
+    def __missing__(self, pair: tuple[int, int]) -> Operation:
+        op = self[pair] = Operation(*pair)
+        return op
+
+
+def jobs_from_rows(
+    machines: Sequence[Sequence[int]], times: Sequence[Sequence[int]]
+) -> tuple[tuple[Operation, ...], ...]:
+    """The jobs of per-job rows of 0-based machines and of processing
+    times; each time row is as long as its machine row.
+
+    Operations are immutable, so one :class:`Operation` per distinct
+    (machine, time) pair serves every operation of the call that has it.
+    """
+    shared = _SharedOperations()
+    return tuple(tuple(map(shared.__getitem__, zip(m, t))) for m, t in zip(machines, times))
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable job-shop problem definition.
@@ -57,6 +84,16 @@ class Instance:
         if len(self.jobs) != self.job_count:
             raise ValueError("job_count does not match number of job sequences")
         for j, ops in enumerate(self.jobs):
+            machines = set(map(_MACHINE, ops))
+            if (
+                ops
+                and min(map(_TIME, ops)) >= 1
+                and min(machines) >= 0
+                and max(machines) < self.machine_count
+                and len(machines) == len(ops)
+            ):
+                continue  # a sound job that visits each machine once
+            # otherwise walk the job to give its warnings and first error in order
             seen: set[int] = set()
             for op in ops:
                 if op.processing_time < 1:
@@ -157,21 +194,20 @@ def _parse_orlib_body(
 ) -> tuple[tuple[Operation, ...], ...]:
     if len(body) < job_count:
         raise InstanceFormatError(f"truncated file: expected {job_count} job lines, got {len(body)}")
-    jobs = []
+    machines, times = [], []
     for j in range(job_count):
         lineno, fields = body[j]
         vals = _ints(fields, lineno)
         if len(vals) % 2 != 0:
             raise InstanceFormatError(f"line {lineno}: odd number of tokens in job line")
-        ops = []
         for machine, time in zip(vals[0::2], vals[1::2]):
             if not 0 <= machine < machine_count:
                 raise InstanceFormatError(f"line {lineno}: machine index {machine} out of range")
             if time < 1:
                 raise InstanceFormatError(f"line {lineno}: processing time {time} < 1")
-            ops.append(Operation(machine=machine, processing_time=time))
-        jobs.append(tuple(ops))
-    return tuple(jobs)
+        machines.append(vals[0::2])
+        times.append(vals[1::2])
+    return jobs_from_rows(machines, times)
 
 
 def _parse_taillard_body(
@@ -201,15 +237,8 @@ def _parse_taillard_body(
         for machine in row:
             if not 1 <= machine <= machine_count:
                 raise InstanceFormatError(f"line {lineno}: machine number {machine} out of range")
-        machines.append(row)
-    jobs = tuple(
-        tuple(
-            Operation(machine=machines[j][k] - 1, processing_time=times[j][k])
-            for k in range(machine_count)
-        )
-        for j in range(job_count)
-    )
-    return jobs
+        machines.append([machine - 1 for machine in row])
+    return jobs_from_rows(machines, times)
 
 
 def read_text(path: str | Path) -> str:
@@ -265,18 +294,16 @@ def generate_instance(
     if not 1 <= low <= high:
         raise ValueError("need 1 <= low <= high")
     rng = np.random.default_rng(seed)
-    jobs = []
-    for _ in range(job_count):
-        order = rng.permutation(machine_count)
-        times = rng.integers(low, high + 1, size=machine_count)
-        jobs.append(
-            tuple(Operation(machine=int(m), processing_time=int(p)) for m, p in zip(order, times))
-        )
+    machines = np.empty((job_count, machine_count), dtype=np.int64)
+    times = np.empty_like(machines)
+    for j in range(job_count):  # per job its machine order, then its times: the draw order
+        machines[j] = rng.permutation(machine_count)
+        times[j] = rng.integers(low, high + 1, size=machine_count)
     return Instance(
         name=f"rand{job_count}x{machine_count}s{seed}",
         job_count=job_count,
         machine_count=machine_count,
-        jobs=tuple(jobs),
+        jobs=jobs_from_rows(machines.tolist(), times.tolist()),
     )
 
 

@@ -156,6 +156,104 @@ def test_instance_validation():
     assert inst.total_operations == 1
 
 
+def validation_error(build) -> str:
+    """The message of the plain ``ValueError`` that ``build()`` raises."""
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert type(caught.value) is ValueError
+    return str(caught.value)
+
+
+def warning_messages(build) -> list[str]:
+    with pytest.warns(UserWarning) as record:
+        build()
+    return [str(w.message) for w in record]
+
+
+def test_validation_reports_the_first_bad_operation_of_the_first_bad_job():
+    def instance(*jobs):
+        return lambda: Instance("v", len(jobs), 2, jobs)
+
+    good = (Operation(0, 3), Operation(1, 2))
+    # a bad machine, then a bad time later in the same job
+    assert validation_error(
+        instance(good, (Operation(0, 1), Operation(5, 2), Operation(1, 0)))
+    ) == "job 1: machine 5 out of range"
+    # a bad time, then a bad machine later in the same job
+    assert validation_error(
+        instance(good, (Operation(0, 0), Operation(-1, 2)))
+    ) == "job 1: processing time must be >= 1"
+    # one operation bad in both: the time is checked first
+    assert validation_error(instance((Operation(2, 0),), good)) == (
+        "job 0: processing time must be >= 1"
+    )
+    # a later job's error never masks an earlier job's
+    assert validation_error(
+        instance((Operation(0, 1), Operation(7, 1)), (Operation(0, -4),))
+    ) == "job 0: machine 7 out of range"
+
+
+def test_parsers_report_the_first_bad_operation():
+    # orlib checks each (machine, time) pair in order, machine first
+    orlib = "2 2\n0 3 1 2\n0 1 5 2 1 0\n"
+    with pytest.raises(InstanceFormatError) as caught:
+        parse_instance_text(orlib, "orlib")
+    assert str(caught.value) == "line 3: machine index 5 out of range"
+    # taillard checks the whole time matrix before the machine matrix
+    taillard = "2 2\n3 2\n1 0\n1 2\n3 2\n"
+    with pytest.raises(InstanceFormatError) as caught:
+        parse_instance_text(taillard, "taillard")
+    assert str(caught.value) == "line 3: processing time 0 < 1"
+    taillard = "2 2\n3 2\n1 4\n1 2\n3 2\n"
+    with pytest.raises(InstanceFormatError) as caught:
+        parse_instance_text(taillard, "taillard")
+    assert str(caught.value) == "line 5: machine number 3 out of range"
+
+
+def test_repeated_visits_warn_once_per_repeat_in_order():
+    expected = [
+        "job 0 visits machine 0 more than once",
+        "job 0 visits machine 0 more than once",
+        "job 1 visits machine 1 more than once",
+    ]
+    jobs = (
+        (Operation(0, 1), Operation(0, 2), Operation(0, 3)),
+        (Operation(1, 1), Operation(2, 2), Operation(1, 3)),
+    )
+    assert warning_messages(lambda: Instance("w", 2, 3, jobs)) == expected
+    orlib = "2 3\n0 1 0 2 0 3\n1 1 2 2 1 3\n"
+    assert warning_messages(lambda: parse_instance_text(orlib, "orlib")) == expected
+    taillard = "2 3\n1 2 3\n1 2 3\n1 1 1\n2 3 2\n"
+    assert warning_messages(lambda: parse_instance_text(taillard, "taillard")) == expected
+    # the warnings of the jobs before a bad one are still given
+    bad = jobs + ((Operation(1, 1), Operation(1, 1), Operation(4, 1)),)
+    with pytest.warns(UserWarning) as record:
+        assert validation_error(lambda: Instance("w", 3, 3, bad)) == (
+            "job 2: machine 4 out of range"
+        )
+    assert [str(w.message) for w in record] == expected + [
+        "job 2 visits machine 1 more than once"
+    ]
+
+
+def test_empty_jobs_beside_others():
+    inst = Instance("gaps", 3, 2, ((), (Operation(1, 2), Operation(0, 5)), ()))
+    assert inst.n_ops.tolist() == [0, 2, 0]
+    assert inst.machine_loads.tolist() == [5, 2]
+    assert validation_error(
+        lambda: Instance("gaps", 3, 2, ((), (), (Operation(2, 1),)))
+    ) == "job 2: machine 2 out of range"
+    assert validation_error(lambda: Instance("gaps", 2, 2, ((), ()))) == (
+        "instance needs at least one operation"
+    )
+    # neither text format holds an empty job: a blank orlib line is
+    # skipped, and a taillard row must hold one entry per machine
+    with pytest.raises(InstanceFormatError, match="truncated file"):
+        parse_instance_text("2 2\n\n0 1 1 2\n", "orlib")
+    with pytest.raises(InstanceFormatError, match="line 2: expected 2 times, got 1"):
+        parse_instance_text("2 2\n1\n3 4\n1 2\n2 1\n", "taillard")
+
+
 def test_solution_document_roundtrip(tmp_path):
     sol = Solution(instance_name="tiny", starts=((0, 3), (0, 5)), makespan=6)
     path = tmp_path / "sol.txt"
