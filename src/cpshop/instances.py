@@ -83,11 +83,14 @@ class Instance:
             raise ValueError("instance needs at least one job and one machine")
         if len(self.jobs) != self.job_count:
             raise ValueError("job_count does not match number of job sequences")
+        total = 0  # bounds every start, end and machine load, so all fit in int64
         for j, ops in enumerate(self.jobs):
             machines = set(map(_MACHINE, ops))
+            times = list(map(_TIME, ops))
+            total += sum(times)
             if (
                 ops
-                and min(map(_TIME, ops)) >= 1
+                and min(times) >= 1
                 and min(machines) >= 0
                 and max(machines) < self.machine_count
                 and len(machines) == len(ops)
@@ -108,6 +111,8 @@ class Instance:
                 seen.add(op.machine)
         if not any(self.jobs):
             raise ValueError("instance needs at least one operation")
+        if total > 2**63 - 1:
+            raise ValueError(f"total processing time {total} exceeds 2**63 - 1")
 
     @cached_property
     def n_ops(self) -> np.ndarray:
@@ -186,7 +191,10 @@ def parse_instance_text(text: str, fmt: str, name: str = "unnamed") -> Instance:
         jobs = _parse_orlib_body(body, job_count, machine_count)
     else:
         jobs = _parse_taillard_body(body, job_count, machine_count)
-    return Instance(name=name, job_count=job_count, machine_count=machine_count, jobs=jobs)
+    try:
+        return Instance(name=name, job_count=job_count, machine_count=machine_count, jobs=jobs)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
 
 
 def _parse_orlib_body(

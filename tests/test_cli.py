@@ -427,8 +427,9 @@ def test_unreadable_input_file_is_data_error(
 
 
 # {inst} is a good instance file, {bad} a truncated one alone in {baddir},
-# {sol} a malformed solution file, {raw} a file that is not UTF-8 and {run}
-# an output directory
+# {sol} a malformed solution file, {raw} a file that is not UTF-8, {huge}
+# a taillard instance whose one time is past int64 and {run} an output
+# directory
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["compress", "--instance", "{inst}", "--in", "{sol}"], "sol", id="compress-in"),
     pytest.param(["solve", "--instance", "{bad}"], "bad", id="solve-instance"),
@@ -436,6 +437,7 @@ def test_unreadable_input_file_is_data_error(
     pytest.param(["train", "--instances", "{inst},{bad}", "--out", "{run}"], "bad",
                  id="train-second-instance"),
     pytest.param(["solve", "--instance", "{raw}"], "raw", id="instance-not-utf8"),
+    pytest.param(["solve", "--instance", "{huge}"], "huge", id="instance-total-past-int64"),
     pytest.param(["compress", "--instance", "{inst}", "--in", "{raw}"], "raw",
                  id="solution-not-utf8"),
     pytest.param(["train", "--instances", "{inst}", "--config", "{raw}", "--out", "{run}"],
@@ -448,11 +450,13 @@ def test_data_error_names_the_malformed_file(instance_dir, tmp_path, capsys, arg
         "bad": tmp_path / "bad" / "truncated.txt",
         "sol": tmp_path / "bad-sol.txt",
         "raw": tmp_path / "raw.txt",
+        "huge": tmp_path / "huge.txt",
         "run": tmp_path / "run",
     }
     paths["baddir"].mkdir()
     paths["bad"].write_text("2 2\n1 2\n")
     paths["raw"].write_bytes(b"3 3\n\xff\xfe\n")
+    paths["huge"].write_text("1 1\n99999999999999999999\n1\n")
     paths["sol"].write_text("instance x\nmakespan abc\njob 0: 0\n")
     code = main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err

@@ -154,6 +154,13 @@ def test_instance_validation():
     # an empty job beside others is fine
     inst = Instance(name="gap", job_count=2, machine_count=1, jobs=((), (Operation(0, 2),)))
     assert inst.total_operations == 1
+    # the total processing time bounds every start and load: it must fit in int64
+    limit = 2**63 - 1
+    first = (Operation(0, 2**62), Operation(1, 1))
+    inst = Instance("max", 2, 2, (first, (Operation(0, 2**62 - 2),)))
+    assert inst.proc.sum() == limit and inst.machine_loads.tolist() == [limit - 1, 1]
+    with pytest.raises(ValueError, match=f"total processing time {limit + 1} exceeds"):
+        Instance("over", 2, 2, (first, (Operation(0, 2**62 - 1),)))
 
 
 def validation_error(build) -> str:
@@ -208,6 +215,13 @@ def test_parsers_report_the_first_bad_operation():
     with pytest.raises(InstanceFormatError) as caught:
         parse_instance_text(taillard, "taillard")
     assert str(caught.value) == "line 5: machine number 3 out of range"
+    # a total past int64 is a format error in both formats
+    for text, fmt in [
+        (f"1 2\n0 {2**62} 1 {2**62}\n", "orlib"),
+        ("1 1\n99999999999999999999\n1\n", "taillard"),
+    ]:
+        with pytest.raises(InstanceFormatError, match="^total processing time .* exceeds 2"):
+            parse_instance_text(text, fmt)
 
 
 def test_repeated_visits_warn_once_per_repeat_in_order():
